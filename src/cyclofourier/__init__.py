@@ -5,13 +5,13 @@ transforms, and diagonalizability of group algebras over finite rings."""
 from .exactring import (CycloElem, CycloRing, IntPolynomial, LocalizedInt, ModElem,
                         ModRing, NotAUnitError, cyclotomic_polynomial, euler_phi,
                         galois_conjugate, get_ring, inverse, is_unit, lift_conductor,
-                        norm, zeta_power)
+                        norm)
 from .finab import (DualElem, FinAbGroup, GroupElem, GroupHom, PadicCircle,
                     circle_points, compose, dual_elements, dual_hom, element_index,
                     elements, enumerate_groups, enumerate_homs, hom_count,
                     identity_hom, pairing, pairing_numerators, zero_hom)
 from .matrix import RingMatrix, determinant, determinant_expansion
-from .chargauss import (Character, UnitGroupStructure, char_eval, check_gauss_identities,
+from .chargauss import (Character, UnitGroupStructure, check_gauss_identities,
                         enumerate_characters, gauss_sum, is_primitive, standard_ring,
                         unit_group_generators, units_mod)
 from .groupalgebra import (AlgElem, FunElem, algebra_one, basis_element, character_table,

@@ -157,11 +157,6 @@ class Character:
         return f"Character({self.label()})"
 
 
-def char_eval(chi: Character, t: int) -> CycloElem:
-    """chi(t) for t coprime to p, by discrete-log decomposition."""
-    return chi.eval(t)
-
-
 def enumerate_characters(p: int, r: int, ring: CycloRing) -> list[Character]:
     """All euler_phi(p^r) characters, by exponent tuples in product order."""
     structure = unit_group_generators(p, r)

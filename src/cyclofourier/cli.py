@@ -51,14 +51,22 @@ class RunConfig:
     extra_groups: int = 2
 
 
+def _positive_int(name: str, raw) -> int:
+    """raw as an int >= 1; anything else is a usage error (exit code 2)."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+    return value
+
+
 def _budget_from_env(default: int = DEFAULT_BUDGET) -> int:
     raw = os.environ.get("CYCLO_BUDGET")
     if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
+        return _positive_int("--budget", default)
+    return _positive_int("CYCLO_BUDGET", raw)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -90,8 +98,8 @@ def cmd_phi(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=f"verify-{args.what}", p=args.p, max_r=args.max_r,
-                    r=args.r, samples=args.samples, seed=args.seed,
+    cfg = RunConfig(command=f"verify-{args.what}", p=args.p, max_r=args.max_r, r=args.r,
+                    samples=_positive_int("--samples", args.samples), seed=args.seed,
                     fmt=args.format, output=args.output, jobs=args.jobs,
                     budget=_budget_from_env(DEFAULT_BUDGET), alpha=args.alpha,
                     dump_matrix=args.dump_matrix, extra_groups=args.extra_groups)

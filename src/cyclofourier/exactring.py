@@ -539,11 +539,6 @@ class CycloElem:
 # -- ring operations on cyclotomic elements ----------------------------
 
 
-def zeta_power(ring: CycloRing, u: int) -> CycloElem:
-    """The u-th power of the canonical root of unity of the ring."""
-    return ring.zeta(u)
-
-
 def lift_conductor(x: CycloElem, conductor: int) -> CycloElem:
     """Embed x into the ring of a larger conductor (old must divide new)."""
     old = x.ring.conductor
@@ -697,11 +692,12 @@ class ModElem:
         if isinstance(other, ModElem):
             return self.ring == other.ring and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.ring.modulus
+            # only the canonical residue, so that hash(value) agrees with int equality
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash(("mod", self.ring.modulus, self.value))
+        return hash(self.value)
 
     def is_unit(self) -> bool:
         return math.gcd(self.value, self.ring.modulus) == 1

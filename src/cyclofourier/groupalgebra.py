@@ -4,12 +4,20 @@ Elements of k[V] are coefficient vectors indexed by the lexicographic
 element order; functions on the dual are value vectors indexed the same
 way.  The evaluation map sends a basis element [v] to the function
 l -> zeta^<v,l>; its inverse is synthesis from the Fourier transform
-f^(v) = |V|^(-1) sum_l f(l) zeta^(-<v,l>).  Hot loops accumulate
-root-of-unity exponents in an integer vector and reduce once.
+f^(v) = |V|^(-1) sum_l f(l) zeta^(-<v,l>).
+
+Both directions run through one kernel, ``_transform``.  The zeta_M
+exponents of the pairing are tabulated once per (group, ring) and cached;
+the table is symmetric, so one row serves evaluation (sign +1) and
+synthesis (sign -1, with |V|^(-1) folded into the denominator exponent).
+Each input contributes only its nonzero power-basis terms, accumulated
+in exponent space Z[X]/(X^M - 1) and reduced mod Phi_M once per output:
+O(|V|^2 * nnz) for nnz nonzero input terms, plus |V| reductions.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from .chargauss import enumerate_characters, units_mod
@@ -37,14 +45,13 @@ def _check_conductor(group: FinAbGroup, ring: CycloRing) -> None:
             f"conductor {ring.conductor} lacks the p^{e1}-th roots of unity")
 
 
-def _zeta_exponent_table(group: FinAbGroup, ring: CycloRing) -> list[list[int]]:
-    """exps[v][l]: the zeta_M exponent of <v_i, l_j>."""
+@lru_cache(maxsize=None)
+def _zeta_exponent_table(group: FinAbGroup, ring: CycloRing) -> tuple[tuple[int, ...], ...]:
+    """exps[v][l]: the zeta_M exponent of <v_i, l_j>; built once per (group, ring)."""
     _check_conductor(group, ring)
     M = ring.conductor
-    p = group.prime
-    e1 = group.exponents[0] if group.exponents else 0
-    scale = M // p ** e1
-    return [[t * scale % M for t in row] for row in pairing_numerators(group)]
+    scale = M // group.exponent_value
+    return tuple(tuple(t * scale % M for t in row) for row in pairing_numerators(group))
 
 
 class AlgElem:
@@ -188,54 +195,35 @@ def character_table(group: FinAbGroup, ring: CycloRing) -> RingMatrix:
     return RingMatrix(ring, n, n, entries)
 
 
-def _scaled_vectors(items: Sequence[CycloElem], p: int) -> tuple[list[list[int]], int]:
-    """Coefficient vectors on one shared denominator exponent."""
+def _transform(group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem],
+               sign: int, extra_exp: int) -> list[CycloElem]:
+    """out[j] = p^(-extra_exp) sum_i items[i] zeta^(sign <i, j>), reduced once per output."""
+    M = ring.conductor
+    p = ring.prime
+    exps = _zeta_exponent_table(group, ring)
     shift = max(c.exp for c in items)
-    vecs = []
-    for c in items:
+    terms = []  # (input index, power-basis slot, scaled coefficient)
+    for i, c in enumerate(items):
         s = p ** (shift - c.exp)
-        vecs.append([n * s for n in c.nums])
-    return vecs, shift
+        terms.extend((i, k, n * s) for k, n in enumerate(c.nums) if n)
+    out = []
+    for row in exps:
+        acc = [0] * M
+        for i, k, n in terms:
+            acc[(sign * row[i] + k) % M] += n
+        out.append(CycloElem(ring, ring.reduce_vector(acc), shift + extra_exp))
+    return out
 
 
 def evaluate_at_characters(x: AlgElem) -> FunElem:
     """The algebra map k[V] -> k^(dual): [v] goes to l -> zeta^<v,l>."""
-    group, ring = x.group, x.ring
-    M = ring.conductor
-    exps = _zeta_exponent_table(group, ring)
-    vecs, shift = _scaled_vectors(x.coeffs, ring.prime)
-    support = [(v, vecs[v]) for v in range(group.order) if any(vecs[v])]
-    values = []
-    for l in range(group.order):
-        acc = [0] * M
-        for v, vec in support:
-            e = exps[v][l]
-            for i, c in enumerate(vec):
-                if c:
-                    acc[(e + i) % M] += c
-        values.append(CycloElem(ring, ring.reduce_vector(acc), shift))
-    return FunElem(group, ring, values)
+    return FunElem(x.group, x.ring, _transform(x.group, x.ring, x.coeffs, 1, 0))
 
 
 def fourier_transform(f: FunElem) -> tuple[CycloElem, ...]:
     """f^(v) = |V|^(-1) sum_l f(l) zeta^(-<v,l>), indexed by group elements."""
-    group, ring = f.group, f.ring
-    M = ring.conductor
-    exps = _zeta_exponent_table(group, ring)
-    s = sum(group.exponents)  # |V| = p^s, invertible in Z[1/p]
-    vecs, shift = _scaled_vectors(f.values, ring.prime)
-    support = [(l, vecs[l]) for l in range(group.order) if any(vecs[l])]
-    out = []
-    for v in range(group.order):
-        row = exps[v]
-        acc = [0] * M
-        for l, vec in support:
-            e = (-row[l]) % M
-            for i, c in enumerate(vec):
-                if c:
-                    acc[(e + i) % M] += c
-        out.append(CycloElem(ring, ring.reduce_vector(acc), shift + s))
-    return tuple(out)
+    # |V| = p^s is invertible in Z[1/p]: it only raises the denominator exponent
+    return tuple(_transform(f.group, f.ring, f.values, -1, sum(f.group.exponents)))
 
 
 def fourier_inverse(f: FunElem) -> AlgElem:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cyclofourier import (char_eval, check_gauss_identities, enumerate_characters,
+from cyclofourier import (check_gauss_identities, enumerate_characters,
                           euler_phi, gauss_sum, get_ring, is_primitive, is_unit,
                           standard_ring, unit_group_generators, units_mod)
 
@@ -49,11 +49,11 @@ def test_char_eval_basics_and_multiplicativity():
     ring = standard_ring(3, 1)
     trivial, quad = enumerate_characters(3, 1, ring)
     assert trivial.is_trivial()
-    assert char_eval(quad, 2) == ring.from_int(-1)
+    assert quad.eval(2) == ring.from_int(-1)
     for chi in (trivial, quad):
-        assert char_eval(chi, 1) == ring.one
+        assert chi.eval(1) == ring.one
     with pytest.raises(ValueError):
-        char_eval(quad, 3)
+        quad.eval(3)
     for p, r in ((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)):
         N = p ** r
         ring = standard_ring(p, r)

@@ -151,3 +151,22 @@ def test_failing_report_maps_to_exit_one(capsys):
     report.add("a", "always fails", False)
     assert _emit_report(report, "text", None) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_invalid_budget_env_is_a_usage_error(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CYCLO_BUDGET", raw)
+    for argv in (("diag", "--modulus", "5", "--n", "4"),
+                 ("verify", "fourier", "--p", "2", "--max-order", "2")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "CYCLO_BUDGET" in err
+
+
+def test_nonpositive_samples_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    for samples in ("-3", "0"):
+        code, out, err = run_cli(capsys, "verify", "criterion-oracle", "--samples", samples,
+                                 "--output", str(target))
+        assert code == 2 and out == "" and not target.exists()
+        assert err.count("\n") == 1 and "--samples" in err

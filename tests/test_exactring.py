@@ -12,9 +12,9 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from cyclofourier import (CycloRing, IntPolynomial, LocalizedInt, NotAUnitError,
+from cyclofourier import (CycloRing, IntPolynomial, LocalizedInt, ModRing, NotAUnitError,
                           cyclotomic_polynomial, euler_phi, galois_conjugate, get_ring,
-                          inverse, is_unit, lift_conductor, norm, zeta_power)
+                          inverse, is_unit, lift_conductor, norm)
 
 CONDUCTORS = [1, 3, 4, 5, 6, 8, 9, 12, 16, 18, 27]
 
@@ -158,10 +158,10 @@ def test_ring_axioms_on_random_triples():
 
 def test_zeta_power_examples():
     ring = get_ring(4, 2)
-    assert zeta_power(ring, 2) == ring.from_int(-1)
-    assert zeta_power(ring, 0) == ring.one
+    assert ring.zeta(2) == ring.from_int(-1)
+    assert ring.zeta(0) == ring.one
     ring3 = get_ring(3, 3)
-    assert zeta_power(ring3, 1) + zeta_power(ring3, 2) == ring3.from_int(-1)
+    assert ring3.zeta(1) + ring3.zeta(2) == ring3.from_int(-1)
 
 
 def test_multiplication_reduces_mod_modulus():
@@ -324,3 +324,19 @@ def test_conductor_one_ring_is_the_scalar_ring():
     assert norm(x) == 10
     assert not is_unit(x)
     assert is_unit(ring.from_int(25))
+
+
+def test_mod_elem_eq_hash_contract():
+    ring = ModRing(7)
+    x = ring.element(5)
+    assert x == 5 and 5 in {x} and x in {5}
+    assert x != 12 and x != -2  # only the canonical residue equals an int
+    assert ring.element(12) == x and {ring.element(12): "a"}[x] == "a"
+    assert ModRing(11).element(5) != x
+    for m in (2, 7, 12):
+        mring = ModRing(m)
+        for v in range(-15, 15):
+            y = mring.element(v)
+            for n in range(-15, 15):
+                if y == n:
+                    assert hash(y) == hash(n)

@@ -11,7 +11,7 @@ from cyclofourier import (AlgElem, FinAbGroup, FunElem, GroupElem, LocalizedInt,
                           evaluate_at_characters, fourier_inverse, fourier_transform,
                           fourier_inversion_report, get_ring, is_unit,
                           is_unit_group_algebra, is_unit_monoid_algebra,
-                          monoid_multiplication_matrix, standard_fourier_ring,
+                          monoid_multiplication_matrix, pairing, standard_fourier_ring,
                           standard_ring, transform_matrix)
 from cyclofourier.isoverify import CircleFunction
 
@@ -209,3 +209,76 @@ def test_fourier_inversion_report_small():
     report = fourier_inversion_report(3, 9)
     assert report.failed == 0
     assert len(report.checks) == 2 * len(enumerate_groups(3, 9))
+
+
+# -- differential test against a sum built from the pairing alone --------
+
+
+def _oracle_root(ring, point, sign=1):
+    """zeta^(sign * M * point) for a point of the p-power circle."""
+    return ring.zeta(sign * point.numerator * (ring.conductor // point.prime ** point.level))
+
+
+def _oracle_evaluate(x):
+    ring = x.ring
+    values = []
+    for l in dual_elements(x.group):
+        acc = ring.zero
+        for v, c in zip(elements(x.group), x.coeffs):
+            acc = acc + c * _oracle_root(ring, pairing(v, l))
+        values.append(acc)
+    return tuple(values)
+
+
+def _oracle_transform(f):
+    ring = f.ring
+    inv_order = ring.scalar(LocalizedInt(1, sum(f.group.exponents), ring.prime))
+    out = []
+    for v in elements(f.group):
+        acc = ring.zero
+        for l, c in zip(dual_elements(f.group), f.values):
+            acc = acc + c * _oracle_root(ring, pairing(v, l), -1)
+        out.append(acc * inv_order)
+    return tuple(out)
+
+
+def _differential_inputs(rng, group, ring):
+    """Dense (every slot nonzero), zero, and single-term coefficient lists."""
+    p, n, deg = ring.prime, group.order, ring.degree
+
+    def dense():
+        return ring.element([LocalizedInt(rng.choice((-3, -2, -1, 1, 2, 3)),
+                                          rng.randint(0, 2), p) for _ in range(deg)])
+
+    def single():
+        slots = [0] * deg
+        slots[rng.randrange(deg)] = LocalizedInt(rng.choice((-2, -1, 1, 2)),
+                                                 rng.randint(0, 2), p)
+        return ring.element(slots)
+
+    yield [dense() for _ in range(n)]
+    yield [ring.zero] * n
+    one_input = rng.randrange(n)
+    yield [single() if i == one_input else ring.zero for i in range(n)]
+    yield [single() for _ in range(n)]
+
+
+def test_transforms_match_pairing_oracle():
+    rng = random.Random(407)
+    cases = [(g, standard_fourier_ring(g))
+             for p, bound in ((2, 32), (3, 27), (5, 25))
+             for g in enumerate_groups(p, bound)]
+    # conductors larger than the group exponent: zeta_M^(M/p^e1) is the root used
+    cases += [(G(2, 2), get_ring(8, 2)), (G(2, 2), get_ring(12, 2)),
+              (G(2, 1, 1), get_ring(8, 2)), (G(3, 1), get_ring(6, 3)),
+              (G(3, 1, 1), get_ring(9, 3))]
+    for g, ring in cases:
+        table = character_table(g, ring)
+        for j, l in enumerate(dual_elements(g)):
+            for i, v in enumerate(elements(g)):
+                assert table.at(j, i) == _oracle_root(ring, pairing(v, l))
+        for coeffs in _differential_inputs(rng, g, ring):
+            x = AlgElem(g, ring, coeffs)
+            assert evaluate_at_characters(x).values == _oracle_evaluate(x), g
+            f = FunElem(g, ring, coeffs)
+            assert fourier_transform(f) == _oracle_transform(f), g
