@@ -2,8 +2,9 @@
 
 Exit codes: 0 when the run succeeded and all checks passed (or a decision
 was rendered), 1 when checks failed, 2 on usage errors, 3 when a
-brute-force budget was exceeded.  All randomness flows from one seed, so
-identical configurations give byte-identical reports.
+brute-force budget was exceeded, 4 when an internal self-check failed (an
+arithmetic or construction bug, not a verdict).  All randomness flows from
+one seed, so identical configurations give byte-identical reports.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import sys
 from dataclasses import dataclass
 
 from .chargauss import check_gauss_identities, enumerate_characters, gauss_sum, standard_ring
-from .diagonalize import decide_diag_cyclic, decide_diag_group, vandermonde_iso
+from .diagonalize import (SplitVerificationError, decide_diag_cyclic, decide_diag_group,
+                          vandermonde_iso)
 from .exactring import cyclotomic_polynomial, is_unit
 from .groupalgebra import fourier_inversion_report
 from .isoverify import (CircleFunction, criterion_vs_determinant, natural_iso_sweep,
@@ -44,7 +46,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     fmt: str = "json"
     output: str | None = None
-    jobs: int = 1
     budget: int = DEFAULT_BUDGET
     alpha: str = "tpzc"
     dump_matrix: bool = False
@@ -100,7 +101,7 @@ def cmd_phi(args) -> int:
 def _config_from_args(args) -> RunConfig:
     cfg = RunConfig(command=f"verify-{args.what}", p=args.p, max_r=args.max_r, r=args.r,
                     samples=_positive_int("--samples", args.samples), seed=args.seed,
-                    fmt=args.format, output=args.output, jobs=args.jobs,
+                    fmt=args.format, output=args.output,
                     budget=_budget_from_env(DEFAULT_BUDGET), alpha=args.alpha,
                     dump_matrix=args.dump_matrix, extra_groups=args.extra_groups)
     cfg.max_order = args.max_order or _DEFAULT_MAX_ORDER.get(args.p, args.p ** 3)
@@ -122,14 +123,14 @@ def cmd_verify(args) -> int:
         if natural is None:
             natural = min(cfg.max_order, _DEFAULT_NATURAL_ORDER.get(p, 1))
         report = natural_iso_sweep(p, cfg.max_order, hom_order_bound=natural, fn=fn,
-                                   dump_matrix=cfg.dump_matrix, jobs=cfg.jobs)
+                                   dump_matrix=cfg.dump_matrix, limit=cfg.budget)
     elif args.what == "criterion-oracle":
         report = criterion_vs_determinant(p, cfg.r, cfg.samples, cfg.seed,
                                           extra_groups=cfg.extra_groups)
     elif args.what == "naturality":
         bound = args.max_order or min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16)
         fn = _alpha_from_name(cfg.alpha, p)
-        report = naturality_sweep(p, bound, fn, jobs=cfg.jobs)
+        report = naturality_sweep(p, bound, fn, limit=cfg.budget)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.what)
     return _emit_report(report, cfg.fmt, cfg.output)
@@ -207,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="tpzc (alias spike): 2 at the points 1/p^s, 1 elsewhere")
     p_verify.add_argument("--natural-max-order", type=int, default=None)
     p_verify.add_argument("--dump-matrix", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", choices=["text", "json"], default="json")
     p_verify.add_argument("--output")
     p_verify.set_defaults(func=cmd_verify)
@@ -240,6 +240,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
+    except (ArithmeticError, SplitVerificationError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 
 class BudgetExceeded(RuntimeError):
@@ -76,13 +76,3 @@ class VerifyReport:
             lines.append(f"[{mark}] {c.id}: {c.subject}{suffix}")
         lines.append(f"passed={self.passed} failed={self.failed}")
         return "\n".join(lines)
-
-
-def run_items(items: Sequence, worker: Callable, jobs: int = 1) -> list:
-    """Map worker over items, optionally on a thread pool; order preserved."""
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]

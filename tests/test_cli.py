@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from cyclofourier.cli import main
+from cyclofourier import cli, isoverify
+from cyclofourier.cli import _emit_report, main
+from cyclofourier.diagonalize import SplitVerificationError
 from cyclofourier.report import VerifyReport
-from cyclofourier.cli import _emit_report
 
 
 def run_cli(capsys, *argv):
@@ -65,15 +66,6 @@ def test_verify_criterion_oracle_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["params"]["seed"] == 42
     assert payload["failed"] == 0
-
-
-def test_jobs_do_not_change_output(capsys):
-    base = ("verify", "iso", "--p", "2", "--max-order", "8",
-            "--natural-max-order", "4")
-    code1, out1, _ = run_cli(capsys, *base, "--jobs", "1")
-    code2, out2, _ = run_cli(capsys, *base, "--jobs", "4")
-    assert code1 == code2 == 0
-    assert out1 == out2
 
 
 def test_verify_naturality(capsys):
@@ -144,6 +136,36 @@ def test_budget_exceeded_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "diag", "--modulus", "1001", "--n", "4")
     assert code == 3
     assert "budget" in err
+
+
+def test_naturality_respects_the_budget(capsys, monkeypatch):
+    # The largest pair up to order 8, 2+2+2 -> 2+2+2, has 2^9 = 512 homs.
+    for argv in (("verify", "naturality", "--p", "2", "--max-order", "8"),
+                 ("verify", "iso", "--p", "2", "--max-order", "8",
+                  "--natural-max-order", "8")):
+        monkeypatch.setenv("CYCLO_BUDGET", "10")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err.startswith("budget exceeded: ") and "the bound 10" in err
+        monkeypatch.setenv("CYCLO_BUDGET", "512")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and json.loads(out)["failed"] == 0
+
+
+def test_internal_errors_exit_four(capsys, monkeypatch):
+    def broken_dual_hom(f):
+        raise ArithmeticError("well-definedness violated; construction bug")
+
+    def broken_split(n, m, witness):
+        raise SplitVerificationError("Vandermonde determinant 0 not a unit mod 5")
+
+    monkeypatch.setattr(isoverify, "dual_hom", broken_dual_hom)
+    monkeypatch.setattr(cli, "vandermonde_iso", broken_split)
+    for argv in (("verify", "naturality", "--p", "2", "--max-order", "4"),
+                 ("diag", "--modulus", "5", "--n", "4", "--emit-iso")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and err.startswith("internal error: ")
 
 
 def test_failing_report_maps_to_exit_one(capsys):

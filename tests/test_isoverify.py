@@ -6,11 +6,12 @@ import pytest
 
 from cyclofourier import (CircleFunction, FinAbGroup, GroupHom, PadicCircle,
                           character_table, circle_points, criterion_vs_determinant,
-                          enumerate_homs, get_ring, identity_hom, invertibility_criterion,
-                          is_unit, matrix_is_invertible, natural_iso_sweep,
-                          naturality_check, naturality_sweep, pairing_numerators,
-                          random_table_function, spike_ring, standard_ring,
-                          transform_determinant, transform_matrix, zero_hom)
+                          dual_hom, enumerate_groups, enumerate_homs, get_ring,
+                          identity_hom, invertibility_criterion, is_unit, isoverify,
+                          matrix_is_invertible, natural_iso_sweep, naturality_check,
+                          naturality_sweep, pairing_numerators, random_table_function,
+                          spike_ring, standard_ring, transform_determinant,
+                          transform_matrix, zero_hom)
 from cyclofourier.matrix import RingMatrix, determinant
 
 
@@ -157,6 +158,82 @@ def test_naturality_sweep_small():
     report = naturality_sweep(3, 9)
     assert report.failed == 0
     assert all(c.witness["homs"] >= 1 for c in report.checks)
+
+
+def _oracle_pair(V, W, fn, ring):
+    """(pass, homs, witness) from the entrywise check on each hom in turn."""
+    count = 0
+    for f in enumerate_homs(V, W):
+        count += 1
+        if not naturality_check(f, fn, ring):
+            return False, count, {"hom": [list(r) for r in f.matrix],
+                                  "source": V.notation(), "target": W.notation()}
+    return True, count, None
+
+
+def _sweep_results(p, max_order, fn, ring):
+    report = naturality_sweep(p, max_order, fn, ring)
+    return [(c.passed, c.witness["homs"], c.witness.get("failure")) for c in report.checks]
+
+
+def _oracle_results(p, max_order, fn, ring):
+    groups = enumerate_groups(p, max_order)
+    return [_oracle_pair(V, W, fn, ring) for V in groups for W in groups]
+
+
+# every group pair up to these orders; r is the largest exponent among them
+DIFFERENTIAL = ((2, 8, 3), (3, 9, 2))
+
+
+def _naturality_functions(p, r):
+    """The spike, a seeded random table and a constant table, with their rings."""
+    ring = standard_ring(p, r)
+    constant = {x: ring.from_int(3) for x in circle_points(p, r)}
+    return [("spike", CircleFunction.spike(p), spike_ring(p)),
+            ("random", random_table_function(p, r, random.Random(50 + p), ring), ring),
+            ("constant", CircleFunction.table(p, r, constant, ring), ring)]
+
+
+def test_naturality_sweep_matches_entrywise_oracle(monkeypatch):
+    # With the real adjoint the generator identity always holds: no fallback.
+    def no_fallback(f, fn, ring):
+        raise AssertionError(f"generator identity failed for a correct adjoint: {f}")
+
+    monkeypatch.setattr(isoverify, "naturality_check", no_fallback)
+    for p, max_order, r in DIFFERENTIAL:
+        for _, fn, ring in _naturality_functions(p, r):
+            got = _sweep_results(p, max_order, fn, ring)
+            assert got == _oracle_results(p, max_order, fn, ring)
+            assert all(ok for ok, _, _ in got)
+
+
+def _perturbed_dual_hom(f):
+    """dual_hom(f) with its last entry moved by the smallest well-defined step."""
+    fs = dual_hom(f)
+    if not (fs.matrix and fs.matrix[0]):
+        return fs
+    rows = [list(row) for row in fs.matrix]
+    rows[-1][-1] += f.source.prime ** max(fs.target.exponents[-1] - fs.source.exponents[-1], 0)
+    return GroupHom(fs.source, fs.target, rows)
+
+
+def test_naturality_sweep_matches_oracle_under_a_faulty_dual_hom(monkeypatch):
+    # The perturbed adjoint breaks the generator identity for every hom between
+    # nontrivial groups, so each verdict there comes from the entrywise fallback.
+    monkeypatch.setattr(isoverify, "dual_hom", _perturbed_dual_hom)
+    for p, max_order, r in DIFFERENTIAL:
+        groups = enumerate_groups(p, max_order)
+        nontrivial = [bool(V.exponents and W.exponents) for V in groups for W in groups]
+        for name, fn, ring in _naturality_functions(p, r):
+            got = _sweep_results(p, max_order, fn, ring)
+            assert got == _oracle_results(p, max_order, fn, ring)
+            failing = [not ok for ok, _, _ in got]
+            if name == "constant":
+                assert not any(failing)  # the fallback's pass branch
+            elif name == "spike":
+                assert failing == nontrivial
+            else:
+                assert any(failing)
 
 
 def test_sweep_examples():
