@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .chargauss import check_gauss_identities, enumerate_characters, gauss_sum, standard_ring
 from .diagonalize import (SplitVerificationError, decide_diag_cyclic, decide_diag_group,
                           vandermonde_iso)
-from .exactring import cyclotomic_polynomial, is_unit
+from .exactring import _is_prime, cyclotomic_polynomial, is_unit
 from .groupalgebra import fourier_inversion_report
 from .isoverify import (CircleFunction, criterion_vs_determinant, natural_iso_sweep,
                         naturality_sweep)
@@ -52,22 +52,29 @@ class RunConfig:
     extra_groups: int = 2
 
 
-def _positive_int(name: str, raw) -> int:
-    """raw as an int >= 1; anything else is a usage error (exit code 2)."""
+def _int_at_least(name: str, raw, low: int = 1) -> int:
+    """raw as an int >= low (default 1); anything else is a usage error (exit code 2)."""
     try:
         value = int(raw)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {raw!r}")
+        value = low - 1
+    if value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {raw!r}")
+    return value
+
+
+def _prime(name: str, value: int) -> int:
+    """value if it is a prime; anything else is a usage error (exit code 2)."""
+    if not _is_prime(value):
+        raise ValueError(f"{name} must be a prime, got {value!r}")
     return value
 
 
 def _budget_from_env(default: int = DEFAULT_BUDGET) -> int:
     raw = os.environ.get("CYCLO_BUDGET")
     if raw is None:
-        return _positive_int("--budget", default)
-    return _positive_int("CYCLO_BUDGET", raw)
+        return _int_at_least("--budget", default)
+    return _int_at_least("CYCLO_BUDGET", raw)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -99,11 +106,14 @@ def cmd_phi(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=f"verify-{args.what}", p=args.p, max_r=args.max_r, r=args.r,
-                    samples=_positive_int("--samples", args.samples), seed=args.seed,
+    cfg = RunConfig(command=f"verify-{args.what}", p=_prime("--p", args.p),
+                    max_r=_int_at_least("--max-r", args.max_r),
+                    r=_int_at_least("--r", args.r),
+                    samples=_int_at_least("--samples", args.samples), seed=args.seed,
                     fmt=args.format, output=args.output,
                     budget=_budget_from_env(DEFAULT_BUDGET), alpha=args.alpha,
-                    dump_matrix=args.dump_matrix, extra_groups=args.extra_groups)
+                    dump_matrix=args.dump_matrix,
+                    extra_groups=_int_at_least("--extra-groups", args.extra_groups, low=0))
     cfg.max_order = args.max_order or _DEFAULT_MAX_ORDER.get(args.p, args.p ** 3)
     return cfg
 
@@ -126,7 +136,7 @@ def cmd_verify(args) -> int:
                                    dump_matrix=cfg.dump_matrix, limit=cfg.budget)
     elif args.what == "criterion-oracle":
         report = criterion_vs_determinant(p, cfg.r, cfg.samples, cfg.seed,
-                                          extra_groups=cfg.extra_groups)
+                                          extra_groups=cfg.extra_groups, limit=cfg.budget)
     elif args.what == "naturality":
         bound = args.max_order or min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16)
         fn = _alpha_from_name(cfg.alpha, p)
@@ -155,6 +165,8 @@ def cmd_diag(args) -> int:
 
 
 def cmd_gauss_table(args) -> int:
+    _prime("--p", args.p)
+    _int_at_least("--max-r", args.max_r)
     rows = []
     for r in range(1, args.max_r + 1):
         N = args.p ** r

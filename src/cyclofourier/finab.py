@@ -11,7 +11,7 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -24,6 +24,8 @@ class FinAbGroup:
 
     prime: int
     exponents: tuple[int, ...]
+    # p^e_i per factor, derived from the exponents
+    factor_orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.prime < 2:
@@ -34,6 +36,7 @@ class FinAbGroup:
         if list(exps) != sorted(exps, reverse=True):
             raise ValueError("exponents must be non-increasing")
         object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "factor_orders", tuple(self.prime ** e for e in exps))
 
     @property
     def order(self) -> int:
@@ -43,10 +46,6 @@ class FinAbGroup:
     def exponent_value(self) -> int:
         """The exponent of the group: p^(largest factor exponent)."""
         return self.prime ** (self.exponents[0] if self.exponents else 0)
-
-    @property
-    def factor_orders(self) -> tuple[int, ...]:
-        return tuple(self.prime ** e for e in self.exponents)
 
     def notation(self) -> str:
         if not self.exponents:

@@ -7,11 +7,28 @@ Z[zeta_M], and each step divides exactly by the previous pivot.  Over
 Z/m, and as a cross-check oracle everywhere, a division-free expansion
 over column subsets is used (exponential, fine at the small sizes where
 it is applied).
+
+Elements of Z[zeta_M] are integer vectors of length phi(M) on the power
+basis, and multiplying by x is the phi(M) x phi(M) integer matrix
+``_mult_rows(x)`` whose column j is x * zeta^j.  Dividing by the previous
+pivot q is multiplying by its adjugate adj (the product of its nontrivial
+Galois conjugates) and dividing exactly by the integer norm n0 = adj * q.
+Step k folds adj into the two multipliers, so entry (i, j) becomes
+
+    (adj * p_k) * a_ij + (-adj * m_ik) * a_kj,  then divided by n0,
+
+and with ``top`` and ``low`` the multiplication matrices of the two
+bracketed factors (``top`` once per step, ``low`` once per row), every
+output coefficient is one dot product of a row of ``top | low`` with
+``a_ij | a_kj``, summed in C.  An entry costs 2 * phi(M)^2 integer
+multiplications and no polynomial reduction; building ``low`` adds
+O(phi(M)^2) per row, and the next adjugate O(phi(M)^3) per step.
 """
 
 from __future__ import annotations
 
 import math
+from operator import mul
 from typing import Sequence
 
 from .exactring import CycloElem, CycloRing, ModRing
@@ -161,14 +178,27 @@ def _bareiss_int(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _vec_mul(a: list[int], b: list[int], ring: CycloRing) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
+def _mult_rows(x: list[int], ring: CycloRing) -> list[tuple[int, ...]]:
+    """Rows of the integer matrix of multiplication by x mod Phi_M.
+
+    Column j is x * zeta^j: the previous column shifted up one power, with
+    the overflow coefficient folded back through the monic modulus tail.
+    """
+    tail = ring._mod_tail
+    col = list(x)
+    cols = [col]
+    for _ in range(ring.degree - 1):
+        c = col[-1]
+        col = [0] + col[:-1]
         if c:
-            for j, d in enumerate(b):
-                if d:
-                    out[i + j] += c * d
-    return ring.reduce_vector(out)
+            for j, mj in tail:
+                col[j] -= mj * c
+        cols.append(col)
+    return list(zip(*cols))
+
+
+def _vec_mul(a: list[int], b: list[int], ring: CycloRing) -> list[int]:
+    return [sum(map(mul, row, b)) for row in _mult_rows(a, ring)]
 
 
 def _vec_conjugate(vec: list[int], t: int, ring: CycloRing) -> list[int]:
@@ -196,7 +226,7 @@ def _vec_adjugate_norm(vec: list[int], ring: CycloRing) -> tuple[list[int], int]
 def _bareiss_vec(m: list[list[list[int]]], ring: CycloRing) -> list[int]:
     n = len(m)
     sign = 1
-    prev_adj: list[int] | None = None
+    prev_adj = [1] + [0] * (ring.degree - 1)
     prev_n0 = 1
     for k in range(n - 1):
         if not any(m[k][k]):
@@ -209,22 +239,18 @@ def _bareiss_vec(m: list[list[list[int]]], ring: CycloRing) -> list[int]:
                 return [0] * ring.degree
         pk = m[k][k]
         rowk = m[k]
+        # (pk * a_ij - m_ik * a_kj) * adj / n0, with adj * prev pivot = n0 in Z
+        top = _mult_rows(_vec_mul(prev_adj, pk, ring), ring)
         for i in range(k + 1, n):
             rowi = m[i]
-            mik = rowi[k]
+            low = _mult_rows(_vec_mul(prev_adj, [-c for c in rowi[k]], ring), ring)
+            both = [t + u for t, u in zip(top, low)]
             for j in range(k + 1, n):
-                t = _vec_mul(pk, rowi[j], ring)
-                u = _vec_mul(mik, rowk[j], ring)
-                vec = [a - b for a, b in zip(t, u)]
-                if prev_adj is not None:
-                    vec = _vec_mul(vec, prev_adj, ring)
-                    quot = []
-                    for c in vec:
-                        q, r = divmod(c, prev_n0)
-                        if r:
-                            raise ArithmeticError("Bareiss division was not exact")
-                        quot.append(q)
-                    vec = quot
+                vec = [sum(map(mul, row, rowi[j] + rowk[j])) for row in both]
+                if prev_n0 != 1:  # c % n0 and c // n0 for each c, mapped in C
+                    if any(map(prev_n0.__rmod__, vec)):
+                        raise ArithmeticError("Bareiss division was not exact")
+                    vec = list(map(prev_n0.__rfloordiv__, vec))
                 rowi[j] = vec
             rowi[k] = [0] * ring.degree
         prev_adj, prev_n0 = _vec_adjugate_norm(pk, ring)

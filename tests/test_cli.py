@@ -192,3 +192,31 @@ def test_nonpositive_samples_is_a_usage_error(tmp_path, capsys):
                                  "--output", str(target))
         assert code == 2 and out == "" and not target.exists()
         assert err.count("\n") == 1 and "--samples" in err
+
+
+def test_criterion_oracle_respects_the_budget(capsys, monkeypatch):
+    # n^3 * phi(M)^2 for p = 3, r = 2: 27^3 * 6^2 = 708588.
+    argv = ("verify", "criterion-oracle", "--p", "3", "--r", "2", "--samples", "1")
+    monkeypatch.setenv("CYCLO_BUDGET", "100000")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: ") and "the bound 100000" in err
+    monkeypatch.setenv("CYCLO_BUDGET", "708588")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["failed"] == 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("verify", "criterion-oracle", "--extra-groups", "-1"), "--extra-groups"),
+    (("verify", "gauss", "--max-r", "0"), "--max-r"),
+    (("gauss-table", "--max-r", "0"), "--max-r"),
+    (("verify", "fourier", "--p", "1"), "--p"),
+    (("verify", "fourier", "--p", "4"), "--p"),
+    (("gauss-table", "--p", "6"), "--p"),
+    (("verify", "criterion-oracle", "--r", "0"), "--r"),
+])
+def test_invalid_flags_are_usage_errors(tmp_path, capsys, argv, flag):
+    target = tmp_path / "report.out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be ")

@@ -22,6 +22,13 @@ def test_group_validation_and_basics():
     assert g.notation() == "4+2"
     assert G(3).notation() == "1"
     assert g.to_json() == {"p": 2, "exponents": [2, 1]}
+    assert g.factor_orders == (4, 2)
+    # Equal groups built separately: equal, same hash, one dict key, same repr.
+    h = FinAbGroup(2, [2, 1])
+    assert h == g and hash(h) == hash(g) and {g: 1}[h] == 1
+    assert h.factor_orders == g.factor_orders and h.factor_orders is not g.factor_orders
+    assert repr(g) == "FinAbGroup(prime=2, exponents=(2, 1))"
+    assert G(2, 2) != g and G(3, 2, 1) != g
     with pytest.raises(ValueError):
         G(2, 1, 2)  # not sorted
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Circle functions, the three-condition criterion, determinant oracle, naturality."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from cyclofourier import (CircleFunction, FinAbGroup, GroupHom, PadicCircle,
                           naturality_sweep, pairing_numerators, random_table_function,
                           spike_ring, standard_ring, transform_determinant,
                           transform_matrix, zero_hom)
+from cyclofourier.cli import main
 from cyclofourier.matrix import RingMatrix, determinant
 
 
@@ -120,6 +122,27 @@ def test_criterion_vs_determinant_small_runs():
     # byte-identical reports for identical seeds
     again = criterion_vs_determinant(3, 2, samples=6, seed=6, extra_groups=2)
     assert report.to_json() == again.to_json()
+
+
+def test_criterion_oracle_report_bytes_and_one_verdict_per_distinct_group(tmp_path,
+                                                                         monkeypatch):
+    calls = []
+    real = isoverify.matrix_is_invertible
+
+    def counting(group, fn, ring):
+        calls.append(group)
+        return real(group, fn, ring)
+
+    monkeypatch.setattr(isoverify, "matrix_is_invertible", counting)
+    target = tmp_path / "report.json"
+    argv = ["verify", "criterion-oracle", "--p", "3", "--r", "2", "--samples", "40",
+            "--seed", "1729", "--output", str(target)]
+    assert main(argv) == 0
+    # The SHA-256 of this report as stored for the benchmark's criterion workload.
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+        "f459941c78cdf0c21b66ce17316bdf8f188db2cdb22b6ca776fa9e943d122b0a")
+    # Z/9 once per sample, plus each distinct extra group a sample draws.
+    assert len(calls) == 71
 
 
 def test_condition_two_matches_level_one_transform_verdict():

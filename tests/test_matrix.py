@@ -5,8 +5,10 @@ import random
 import pytest
 import sympy
 
-from cyclofourier import (LocalizedInt, ModRing, RingMatrix, determinant,
-                          determinant_expansion, get_ring)
+from cyclofourier import (FinAbGroup, LocalizedInt, ModRing, RingMatrix, determinant,
+                          determinant_expansion, get_ring, norm, random_table_function,
+                          standard_ring, transform_matrix)
+from cyclofourier.matrix import _bareiss_int
 
 
 def _int_matrix(ring, rows):
@@ -49,6 +51,82 @@ def test_bareiss_matches_expansion_over_cyclotomic_entries():
                        for _ in range(n * n)]
             mat = RingMatrix(ring, n, n, entries)
             assert determinant(mat) == determinant_expansion(mat)
+
+
+# Transform matrices of the criterion oracle: (prime, exponents, level r) with the
+# ring standard_ring(p, r), of conductor 18, 18, 20 and 8.
+_TRANSFORM_CASES = [(3, (2,), 2), (3, (1, 1), 2), (5, (1,), 1), (2, (3,), 3)]
+
+
+def _random_cyclo_matrix(ring, n, rng):
+    p = ring.prime
+    return [[ring.element([LocalizedInt(rng.randint(-4, 4), rng.randint(0, 2), p)
+                           for _ in range(ring.degree)]) for _ in range(n)]
+            for _ in range(n)]
+
+
+def test_bareiss_matches_expansion_on_transform_and_random_matrices():
+    rng = random.Random(204)
+    for p, exps, r in _TRANSFORM_CASES:
+        ring = standard_ring(p, r)
+        for seed in range(4):
+            fn = random_table_function(p, r, random.Random(seed), ring)
+            mat = transform_matrix(FinAbGroup(p, exps), fn, ring)
+            assert determinant(mat) == determinant_expansion(mat)
+    for M, p in ((18, 3), (20, 5), (8, 2), (7, 7)):
+        ring = get_ring(M, p)
+        for n in (3, 5, 7):
+            rows = _random_cyclo_matrix(ring, n, rng)
+            dense = RingMatrix.from_rows(ring, rows)
+            assert determinant(dense) == determinant_expansion(dense)
+            # Zero a_10 and a_11: after step 0 the (1, 1) entry is
+            # a_00 * a_11 - a_10 * a_01 = 0, so step 1 must swap rows.
+            rows[1][0] = rows[1][1] = ring.zero
+            swapped = RingMatrix.from_rows(ring, rows)
+            det = determinant(swapped)
+            assert det and det == determinant_expansion(swapped)
+            # A repeated row makes the matrix singular.
+            rows[n - 1] = list(rows[0])
+            singular = RingMatrix.from_rows(ring, rows)
+            assert not determinant(singular)
+            assert not determinant_expansion(singular)
+
+
+def _regular_representation(mat):
+    """The (n * phi)-square integer matrix of mat acting on Z^phi, denominators cleared.
+
+    Block (i, j) has column c equal to the coefficients of a_ij * zeta^c, so its
+    determinant is p^(n * phi * shift) times the norm of det(mat).
+    """
+    ring, n, phi = mat.ring, mat.rows, mat.ring.degree
+    products = [[[e * ring.zeta(c) for c in range(phi)] for e in mat.row(i)]
+                for i in range(n)]
+    shift = max(x.exp for row in products for block in row for x in block)
+    big = []
+    for i in range(n):
+        for a in range(phi):
+            big.append([block[c].nums[a] * ring.prime ** (shift - block[c].exp)
+                        for block in products[i] for c in range(phi)])
+    return big, n * phi * shift
+
+
+# Seed 1729 draws a singular transform for each group, the other seed a unit one.
+@pytest.mark.parametrize("p, exps, r, seeds", [(2, (3, 1), 3, (1729, 1782)),
+                                               (5, (1, 1), 1, (1729, 1752)),
+                                               (3, (2, 1), 2, (1729, 1771))])
+def test_norm_of_bareiss_determinant_matches_integer_regular_representation(p, exps, r,
+                                                                             seeds):
+    ring = standard_ring(p, r)
+    verdicts = []
+    for seed in seeds:
+        fn = random_table_function(p, r, random.Random(seed), ring)
+        mat = transform_matrix(FinAbGroup(p, exps), fn, ring)
+        big, scale = _regular_representation(mat)
+        expected = _bareiss_int(big)
+        det_norm = norm(determinant(mat))
+        assert det_norm.as_fraction() * ring.prime ** scale == expected
+        verdicts.append(det_norm.is_unit())
+    assert verdicts == [False, True]
 
 
 def test_denominators_are_cleared_exactly():
