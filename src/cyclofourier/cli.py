@@ -41,7 +41,6 @@ class RunConfig:
     max_order: int | None = None
     max_r: int = 3
     r: int = 2
-    level: int = 3
     samples: int = 100
     seed: int = DEFAULT_SEED
     fmt: str = "json"
@@ -114,7 +113,10 @@ def _config_from_args(args) -> RunConfig:
                     budget=_budget_from_env(DEFAULT_BUDGET), alpha=args.alpha,
                     dump_matrix=args.dump_matrix,
                     extra_groups=_int_at_least("--extra-groups", args.extra_groups, low=0))
-    cfg.max_order = args.max_order or _DEFAULT_MAX_ORDER.get(args.p, args.p ** 3)
+    if args.max_order is not None:
+        cfg.max_order = _int_at_least("--max-order", args.max_order)
+    else:
+        cfg.max_order = _DEFAULT_MAX_ORDER.get(args.p, args.p ** 3)
     return cfg
 
 
@@ -129,8 +131,9 @@ def cmd_verify(args) -> int:
             report.extend(check_gauss_identities(p, r).checks)
     elif args.what == "iso":
         fn = _alpha_from_name(cfg.alpha, p)
-        natural = args.natural_max_order
-        if natural is None:
+        if args.natural_max_order is not None:
+            natural = _int_at_least("--natural-max-order", args.natural_max_order)
+        else:
             natural = min(cfg.max_order, _DEFAULT_NATURAL_ORDER.get(p, 1))
         report = natural_iso_sweep(p, cfg.max_order, hom_order_bound=natural, fn=fn,
                                    dump_matrix=cfg.dump_matrix, limit=cfg.budget)
@@ -138,7 +141,10 @@ def cmd_verify(args) -> int:
         report = criterion_vs_determinant(p, cfg.r, cfg.samples, cfg.seed,
                                           extra_groups=cfg.extra_groups, limit=cfg.budget)
     elif args.what == "naturality":
-        bound = args.max_order or min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16)
+        if args.max_order is not None:
+            bound = cfg.max_order
+        else:
+            bound = min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16)
         fn = _alpha_from_name(cfg.alpha, p)
         report = naturality_sweep(p, bound, fn, limit=cfg.budget)
     else:  # pragma: no cover - argparse restricts choices
@@ -157,7 +163,7 @@ def cmd_diag(args) -> int:
         verdict = decide_diag_cyclic(n, args.modulus, budget=budget)
     payload = verdict.to_json()
     if args.emit_iso and verdict.decision:
-        split = vandermonde_iso(n, args.modulus, verdict.witness)
+        split = vandermonde_iso(n, args.modulus, verdict.witness, budget=budget)
         payload["points"] = list(split.points)
         payload["matrix"] = split.matrix.to_json()
     _emit(json.dumps(payload), args.output)

@@ -73,12 +73,18 @@ class VandermondeSplit:
     det: int
 
 
-def vandermonde_iso(n: int, m: int, xi: int) -> VandermondeSplit:
+def vandermonde_iso(n: int, m: int, xi: int, budget: int = 10 ** 7) -> VandermondeSplit:
     """The evaluation matrix (xi^(i j)) realizing the splitting, fully verified.
 
     Checks: the determinant is a unit mod m; xi^i - xi^j is a unit for
     i != j; and X^n - 1 factors exactly as the product of (X - xi^i).
+    The determinant is the expansion over all 2^n column subsets, so n * 2^n
+    above ``budget`` raises BudgetExceeded before anything is built.
     """
+    # the first test keeps a huge n from building the int n * 2^n
+    if n >= budget.bit_length() or n << n > budget:
+        raise BudgetExceeded(f"determinant expansion of size {n} ({n} * 2^{n} steps) "
+                             f"exceeds the budget {budget}")
     ring = ModRing(m)
     powers = tuple(pow(xi, i, m) for i in range(n))
     entries = [ring.element(pow(xi, i * j, m)) for i in range(n) for j in range(n)]

@@ -6,7 +6,10 @@ intermediate entry is then a minor of an integer-coefficient matrix over
 Z[zeta_M], and each step divides exactly by the previous pivot.  Over
 Z/m, and as a cross-check oracle everywhere, a division-free expansion
 over column subsets is used (exponential, fine at the small sizes where
-it is applied).
+it is applied).  Over Z/m the expansion runs on the residues as plain
+ints, one minor per column subset in a list indexed by the subset's mask,
+each reduced mod m; over a cyclotomic ring it runs on the ring elements,
+as the oracle for Bareiss.
 
 Elements of Z[zeta_M] are integer vectors of length phi(M) on the power
 basis, and multiplying by x is the phi(M) x phi(M) integer matrix
@@ -103,6 +106,9 @@ def determinant_expansion(mat: RingMatrix):
     if n == 0:
         return ring.one
     rows = [mat.row(i) for i in range(n)]
+    if isinstance(ring, ModRing):
+        return ring.element(_expansion_mod([[e.value for e in row] for row in rows],
+                                           ring.modulus))
     memo = {}
 
     def minor(mask: int):
@@ -124,6 +130,33 @@ def determinant_expansion(mat: RingMatrix):
         return acc
 
     return minor(0)
+
+
+def _expansion_mod(rows: list[list[int]], m: int) -> int:
+    """The same expansion on residues as ints, bottom-up over a mask-indexed list.
+
+    minors[mask] is the minor of rows popcount(mask).. on the columns outside
+    mask, reduced mod m; a mask only reads larger masks, so descending order
+    fills the list.
+    """
+    n = len(rows)
+    full = (1 << n) - 1
+    minors = [0] * (full + 1)
+    minors[full] = 1
+    by_bit = [{1 << j: c for j, c in enumerate(row)} for row in rows]
+    for mask in range(full - 1, -1, -1):
+        row = by_bit[mask.bit_count()]
+        free = full ^ mask
+        acc = 0
+        negate = False
+        while free:
+            low = free & -free
+            term = row[low] * minors[mask | low]
+            acc = acc - term if negate else acc + term
+            negate = not negate
+            free ^= low
+        minors[mask] = acc % m
+    return minors[0]
 
 
 # -- Bareiss elimination over Z[zeta_M], denominators cleared ----------

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from cyclofourier import (check_gauss_identities, enumerate_characters,
+from cyclofourier import (chargauss, check_gauss_identities, enumerate_characters,
                           euler_phi, gauss_sum, get_ring, is_primitive, is_unit,
                           standard_ring, unit_group_generators, units_mod)
 
@@ -110,6 +110,16 @@ def test_gauss_sum_explicit_tau_table():
         gauss_sum(quad, u=1, tau=tau)
     with pytest.raises(ValueError):
         gauss_sum(quad)
+    # the value-row path against chi.eval times explicit additive characters
+    for p, max_r in ((2, 5), (3, 3), (5, 2)):
+        for r in range(1, max_r + 1):
+            N = p ** r
+            ring = standard_ring(p, r)
+            scale = ring.conductor // N
+            for chi in enumerate_characters(p, r, ring):
+                for u in range(N):
+                    tau = [ring.zeta(u * t * scale) for t in range(N)]
+                    assert gauss_sum(chi, u=u) == gauss_sum(chi, tau=tau), (chi, u)
 
 
 def test_character_sum_vanishes_for_nontrivial():
@@ -143,3 +153,41 @@ def test_primitive_gauss_sums_are_units_with_twist():
             assert gauss_sum(chi, u=u) == expected
         for u in (0, 3, 6):
             assert not gauss_sum(chi, u=u)
+
+
+def _unit_twist_oracle(p, r):
+    """(id, pass, witness) of each primitive coprime check, with a norm per twisted sum."""
+    N = p ** r
+    ring = standard_ring(p, r)
+    out = []
+    for chi in enumerate_characters(p, r, ring):
+        if not is_primitive(chi):
+            continue
+        base = gauss_sum(chi, u=1)
+        for u in units_mod(N):
+            value = gauss_sum(chi, u=u)
+            ok = is_unit(value) and value == chi.eval(pow(u, -1, N)) * base
+            out.append((f"N{N}-{chi.label()}-u{u}", ok, {"sum": value.coeff_strings()}))
+    return out
+
+
+def _unit_twist_checks(report):
+    return [(c.id, c.passed, c.witness) for c in report.checks
+            if c.subject.endswith(": unit and twist relation")]
+
+
+@pytest.mark.parametrize("p, r", [(2, r) for r in range(1, 6)]
+                         + [(3, r) for r in range(1, 4)] + [(5, 1), (5, 2)])
+def test_one_norm_per_character_matches_a_norm_per_twisted_sum(p, r):
+    oracle = _unit_twist_oracle(p, r)
+    assert _unit_twist_checks(check_gauss_identities(p, r)) == oracle
+    assert all(ok for _, ok, _ in oracle) and (len(oracle) > 0) == (p ** r > 2)
+
+
+def test_unit_flag_of_the_base_sum_is_consulted(monkeypatch):
+    monkeypatch.setattr(chargauss, "is_unit", lambda x: False)
+    for p, r in ((2, 3), (3, 2), (5, 1)):
+        report = check_gauss_identities(p, r)
+        twists = _unit_twist_checks(report)
+        assert twists and not any(ok for _, ok, _ in twists)
+        assert report.failed == len(twists)

@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -156,7 +157,7 @@ def test_internal_errors_exit_four(capsys, monkeypatch):
     def broken_dual_hom(f):
         raise ArithmeticError("well-definedness violated; construction bug")
 
-    def broken_split(n, m, witness):
+    def broken_split(n, m, witness, budget):
         raise SplitVerificationError("Vandermonde determinant 0 not a unit mod 5")
 
     monkeypatch.setattr(isoverify, "dual_hom", broken_dual_hom)
@@ -166,6 +167,20 @@ def test_internal_errors_exit_four(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and err.startswith("internal error: ")
+
+
+def test_diag_emit_iso_respects_the_budget(capsys, monkeypatch):
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "diag", "--modulus", "31", "--n", "30", "--emit-iso")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err.startswith("budget exceeded: ")
+    # 16 * 2^16 = 1048576 expansion steps
+    argv = ("diag", "--n", "16", "--modulus", "593", "--emit-iso")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(json.loads(out)["points"]) == 16
+    code, out, err = run_cli(capsys, *argv, "--budget", "1000000")
+    assert code == 3 and out == "" and "the budget 1000000" in err
 
 
 def test_failing_report_maps_to_exit_one(capsys):
@@ -214,6 +229,9 @@ def test_criterion_oracle_respects_the_budget(capsys, monkeypatch):
     (("verify", "fourier", "--p", "4"), "--p"),
     (("gauss-table", "--p", "6"), "--p"),
     (("verify", "criterion-oracle", "--r", "0"), "--r"),
+    (("verify", "fourier", "--p", "2", "--max-order", "0"), "--max-order"),
+    (("verify", "fourier", "--p", "2", "--max-order", "-4"), "--max-order"),
+    (("verify", "iso", "--natural-max-order", "-1"), "--natural-max-order"),
 ])
 def test_invalid_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     target = tmp_path / "report.out"

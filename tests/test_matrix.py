@@ -161,6 +161,30 @@ def test_mod_ring_determinant_matches_integer_det():
             assert determinant(mat).value == expected
 
 
+def test_expansion_over_z_mod_m_matches_bareiss_on_the_lift_and_sympy():
+    rng = random.Random(204)
+    cases = []
+    for m in (2, 12, 593, 1001):
+        for n in range(1, 8):
+            rows = [[rng.randrange(m) for _ in range(n)] for _ in range(n)]
+            cases.append((m, rows))
+            zero_row = [row[:] for row in rows]
+            zero_row[rng.randrange(n)] = [0] * n
+            cases.append((m, zero_row))
+            if n > 1:
+                repeated = [row[:] for row in rows]
+                i, j = rng.sample(range(n), 2)
+                repeated[j] = repeated[i][:]
+                cases.append((m, repeated))
+            cases.append((m, [[0] * n for _ in range(n)]))
+    for m, rows in cases:
+        ring = ModRing(m)
+        mat = RingMatrix.from_rows(ring, [[ring.element(v) for v in row] for row in rows])
+        det = determinant_expansion(mat).value
+        assert det == _bareiss_int([row[:] for row in rows]) % m, (m, rows)
+        assert det == int(sympy.Matrix(rows).det()) % m, (m, rows)
+
+
 def test_shape_checks():
     ring = get_ring(4, 2)
     with pytest.raises(ValueError):
