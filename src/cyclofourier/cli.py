@@ -124,7 +124,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     p = cfg.p
     if args.what == "fourier":
-        report = fourier_inversion_report(p, cfg.max_order)
+        report = fourier_inversion_report(p, cfg.max_order, limit=cfg.budget)
     elif args.what == "gauss":
         report = VerifyReport("verify-gauss", {"p": p, "max_r": cfg.max_r})
         for r in range(1, cfg.max_r + 1):
@@ -268,3 +268,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -10,9 +10,39 @@ Both directions run through one kernel, ``_transform``.  The zeta_M
 exponents of the pairing are tabulated once per (group, ring) and cached;
 the table is symmetric, so one row serves evaluation (sign +1) and
 synthesis (sign -1, with |V|^(-1) folded into the denominator exponent).
-Each input contributes only its nonzero power-basis terms, accumulated
-in exponent space Z[X]/(X^M - 1) and reduced mod Phi_M once per output:
+Each nonzero input contributes only its nonzero power-basis terms (zero
+inputs are skipped before their slots are scanned), accumulated in
+exponent space Z[X]/(X^M - 1) and reduced mod Phi_M once per output:
 O(|V|^2 * nnz) for nnz nonzero input terms, plus |V| reductions.
+
+Fourier inversion is proven per group, not run as |V| round trips each
+way (each of which would end in a dense |V| x |V| synthesis, O(|V|^3) per
+group).  With T the exponent table and s = sum of the group's exponents
+(|V| = p^s), ``fourier_inversion_report`` checks:
+
+1. Kernel columns: evaluate_at_characters([v]) = zeta^T[v][.] for every v,
+   and fourier_transform(delta_j) = p^(-s) zeta^(-T[j][.]) for every j.
+2. Bilinearity: T[0][.] = 0, T is symmetric, and
+   T[v + g_k][l] = T[v][l] + T[g_k][l] (mod M) for every generator g_k.
+3. Orthogonality: sum_l zeta^T[u][l] = |V| [u = 0] for every u, summed in
+   exponent space and reduced once per u.
+4. One multi-term round trip each way on the fixed input
+   [0] + 2[g_1] + 3[g_2] + ... (delta functions likewise).
+
+The kernel is a sum over input terms, so it is Z[zeta]-linear and step 1
+determines both maps: E[l][v] = zeta^T[v][l], F[v][l] = p^(-s) zeta^(-T[l][v]).
+By steps 2 and 3, (F E)[w][v] = p^(-s) sum_l zeta^(T[v][l] - T[w][l]) =
+p^(-s) sum_l zeta^T[v-w][l] = [v = w], and E F = I the same way through
+the rows of the symmetric table.  Step 4 guards the multi-term
+accumulation (shared denominators, repeated slots) that the linearity
+argument relies on.  It uses a sparse input, O(|V|^2 * rank) per group;
+a dense input would cost O(|V|^2 * phi(M)), so the seeded dense-input
+oracle of the test suite (test_transforms_match_pairing_oracle) remains
+the dense guard.  Steps 1-3 cost O(|V|^2 * (M + rank)).
+
+When any step fails, the group is decided by ``_inversion_by_round_trips``
+(every basis vector, both ways), so verdicts and the first failing
+``basis_index`` / ``dual_index`` are exactly those of the full sweep.
 """
 
 from __future__ import annotations
@@ -25,7 +55,7 @@ from .exactring import CycloElem, CycloRing, is_unit
 from .finab import (FinAbGroup, GroupElem, PadicCircle, element_index, elements,
                     pairing_numerators)
 from .matrix import RingMatrix
-from .report import VerifyReport
+from .report import BudgetExceeded, VerifyReport
 
 
 def _p_adic_valuation(n: int, p: int) -> int:
@@ -201,9 +231,10 @@ def _transform(group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem],
     M = ring.conductor
     p = ring.prime
     exps = _zeta_exponent_table(group, ring)
-    shift = max(c.exp for c in items)
+    nonzero = [(i, c) for i, c in enumerate(items) if any(c.nums)]
+    shift = max((c.exp for _, c in nonzero), default=0)
     terms = []  # (input index, power-basis slot, scaled coefficient)
-    for i, c in enumerate(items):
+    for i, c in nonzero:
         s = p ** (shift - c.exp)
         terms.extend((i, k, n * s) for k, n in enumerate(c.nums) if n)
     out = []
@@ -323,39 +354,127 @@ def is_unit_monoid_algebra(coeffs: Sequence[CycloElem], p: int, r: int) -> bool:
 # -- inversion sweep -----------------------------------------------------
 
 
-def fourier_inversion_report(p: int, max_order: int) -> VerifyReport:
-    """Check both composites of evaluation and synthesis on every basis vector."""
+def fourier_inversion_report(p: int, max_order: int, limit: int = 10 ** 7) -> VerifyReport:
+    """Both composites of evaluation and synthesis are the identity, per group.
+
+    Each group is proven by the four steps of the module docstring, in
+    O(|V|^2 * (M + rank)); a group on which any step fails is decided by
+    the per-basis-vector round trips of ``_inversion_by_round_trips``,
+    which supply the verdicts and the first failing index.  BudgetExceeded
+    is raised before any arithmetic when sum over groups of |V|^2 * M
+    exceeds ``limit``.
+    """
     from .finab import enumerate_groups
 
+    groups = enumerate_groups(p, max_order)
+    cost = sum(g.order ** 2 * g.exponent_value for g in groups)
+    if cost > limit:
+        raise BudgetExceeded(f"Fourier sweep of p = {p} up to order {max_order}: "
+                             f"sum of |V|^2 * M is {cost}, over the bound {limit}")
     report = VerifyReport("verify-fourier", {"p": p, "max_order": max_order})
-    for group in enumerate_groups(p, max_order):
+    for group in groups:
         ring = standard_fourier_ring(group)
+        if _inversion_proven(group, ring):
+            left = right = (True, None)
+        else:
+            left, right = _inversion_by_round_trips(group, ring)
         name = group.notation()
-        ok_left = True
-        witness = None
-        for i, v in enumerate(elements(group)):
-            x = basis_element(group, ring, v)
-            back = fourier_inverse(evaluate_at_characters(x))
-            if back != x:
-                ok_left = False
-                witness = {"basis_index": i}
-                break
-        report.add(f"fourier-{name}-synthesis-after-evaluation", f"V={name}",
-                   ok_left, witness)
-        ok_right = True
-        witness = None
-        for j in range(group.order):
-            values = [ring.zero] * group.order
-            values[j] = ring.one
-            delta = FunElem(group, ring, values)
-            back = evaluate_at_characters(fourier_inverse(delta))
-            if back != delta:
-                ok_right = False
-                witness = {"dual_index": j}
-                break
-        report.add(f"fourier-{name}-evaluation-after-synthesis", f"V={name}",
-                   ok_right, witness)
+        report.add(f"fourier-{name}-synthesis-after-evaluation", f"V={name}", *left)
+        report.add(f"fourier-{name}-evaluation-after-synthesis", f"V={name}", *right)
     return report
+
+
+def _inversion_proven(group: FinAbGroup, ring: CycloRing) -> bool:
+    """Steps 1-4 of the module docstring; False leaves the verdict to the round trips."""
+    exps = _zeta_exponent_table(group, ring)
+    return (_kernel_columns_match(group, ring, exps)
+            and _table_is_bilinear(group, exps, ring.conductor)
+            and _rows_are_orthogonal(ring, exps)
+            and _fixed_round_trips_hold(group, ring))
+
+
+def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, exps) -> bool:
+    """Step 1: both transforms of every single-term input, against the table."""
+    M = ring.conductor
+    n = group.order
+    zetas = [ring.zeta(u) for u in range(M)]
+    # p^(-s) zeta^(-u), indexed by u
+    scaled = [CycloElem(ring, zetas[-u % M].nums, sum(group.exponents)) for u in range(M)]
+    for v, x in enumerate(elements(group)):
+        got = evaluate_at_characters(basis_element(group, ring, x)).values
+        if got != tuple(zetas[t] for t in exps[v]):
+            return False
+    for j in range(n):
+        delta = [ring.zero] * n
+        delta[j] = ring.one
+        if fourier_transform(FunElem(group, ring, delta)) != tuple(scaled[t] for t in exps[j]):
+            return False
+    return True
+
+
+def _table_is_bilinear(group: FinAbGroup, exps, M: int) -> bool:
+    """Step 2: zero row, symmetry, and additivity along each generator, mod M."""
+    if any(exps[0]) or any(col != row for col, row in zip(zip(*exps), exps)):
+        return False
+    els = elements(group)
+    for g in _generator_indices(group):
+        step = els[g]
+        row_g = exps[g]
+        for v, x in enumerate(els):
+            row_w = exps[element_index(group, (x + step).coords)]
+            if any((a + b - c) % M for a, b, c in zip(exps[v], row_g, row_w)):
+                return False
+    return True
+
+
+def _rows_are_orthogonal(ring: CycloRing, exps) -> bool:
+    """Step 3: sum_l zeta^T[u][l] = |V| [u = 0], counted by exponent, reduced once per row."""
+    zero = [0] * ring.degree
+    for u, row in enumerate(exps):
+        acc = [0] * ring.conductor
+        for t in row:
+            acc[t] += 1
+        if ring.reduce_vector(acc) != (zero if u else [len(row)] + zero[1:]):
+            return False
+    return True
+
+
+def _fixed_round_trips_hold(group: FinAbGroup, ring: CycloRing) -> bool:
+    """Step 4: both composites on [0] + 2[g_1] + 3[g_2] + ... (g_k the k-th generator)."""
+    coeffs = [ring.zero] * group.order
+    coeffs[0] = ring.one
+    for k, idx in enumerate(_generator_indices(group)):
+        coeffs[idx] = ring.from_int(k + 2)
+    x = AlgElem(group, ring, coeffs)
+    f = FunElem(group, ring, coeffs)
+    return (fourier_inverse(evaluate_at_characters(x)) == x
+            and evaluate_at_characters(fourier_inverse(f)) == f)
+
+
+def _generator_indices(group: FinAbGroup) -> list[int]:
+    """Element indices of the unit coordinate vectors, one per cyclic factor."""
+    rank = len(group.exponents)
+    return [element_index(group, tuple(int(i == k) for i in range(rank)))
+            for k in range(rank)]
+
+
+def _inversion_by_round_trips(group: FinAbGroup, ring: CycloRing):
+    """Both composites on every basis vector: ((ok, witness) left, (ok, witness) right)."""
+    left = (True, None)
+    for i, v in enumerate(elements(group)):
+        x = basis_element(group, ring, v)
+        if fourier_inverse(evaluate_at_characters(x)) != x:
+            left = (False, {"basis_index": i})
+            break
+    right = (True, None)
+    for j in range(group.order):
+        values = [ring.zero] * group.order
+        values[j] = ring.one
+        delta = FunElem(group, ring, values)
+        if evaluate_at_characters(fourier_inverse(delta)) != delta:
+            right = (False, {"dual_index": j})
+            break
+    return left, right
 
 
 def standard_fourier_ring(group: FinAbGroup) -> CycloRing:

@@ -1,11 +1,15 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from cyclofourier import cli, isoverify
+from cyclofourier import cli, enumerate_groups, isoverify
 from cyclofourier.cli import _emit_report, main
 from cyclofourier.diagonalize import SplitVerificationError
 from cyclofourier.report import VerifyReport
@@ -181,6 +185,32 @@ def test_diag_emit_iso_respects_the_budget(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)["points"]) == 16
     code, out, err = run_cli(capsys, *argv, "--budget", "1000000")
     assert code == 3 and out == "" and "the budget 1000000" in err
+
+
+def test_fourier_respects_the_budget(capsys, monkeypatch):
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "fourier", "--p", "2", "--max-order", "4096")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err.startswith("budget exceeded: ")
+    # sum over the groups of |V|^2 * M, M the exponent (the ring's conductor)
+    estimate = sum(g.order ** 2 * g.exponent_value for g in enumerate_groups(3, 81))
+    argv = ("verify", "fourier", "--p", "3", "--max-order", "81")
+    monkeypatch.setenv("CYCLO_BUDGET", str(estimate))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["failed"] == 0
+    monkeypatch.setenv("CYCLO_BUDGET", str(estimate - 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == "" and f"the bound {estimate - 1}" in err
+
+
+def test_module_runs_as_a_script():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "cyclofourier.cli", "phi", "--n", "12"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0 and done.stdout == "X^4 - X^2 + 1\n"
 
 
 def test_failing_report_maps_to_exit_one(capsys):

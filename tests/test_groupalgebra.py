@@ -1,5 +1,6 @@
 """Convolution, the evaluation map and its matrix, Fourier inversion, unit tests."""
 
+import functools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from cyclofourier import (AlgElem, FinAbGroup, FunElem, GroupElem, LocalizedInt,
                           is_unit_group_algebra, is_unit_monoid_algebra,
                           monoid_multiplication_matrix, pairing, standard_fourier_ring,
                           standard_ring, transform_matrix)
+from cyclofourier import groupalgebra
 from cyclofourier.isoverify import CircleFunction
 
 
@@ -282,3 +284,137 @@ def test_transforms_match_pairing_oracle():
             assert evaluate_at_characters(x).values == _oracle_evaluate(x), g
             f = FunElem(g, ring, coeffs)
             assert fourier_transform(f) == _oracle_transform(f), g
+
+
+# -- the inversion proof against the per-basis-vector round trips --------
+
+
+def _round_trip_report(monkeypatch, p, bound):
+    """The report with every group decided by _inversion_by_round_trips."""
+    with monkeypatch.context() as m:
+        m.setattr(groupalgebra, "_inversion_proven", lambda group, ring: False)
+        return fourier_inversion_report(p, bound)
+
+
+def _fallback_entered(group, ring):
+    raise AssertionError(f"round trips run on {group.notation()}")
+
+
+@pytest.mark.parametrize("p, bound", [(2, 64), (3, 81), (5, 125)])
+def test_inversion_proof_matches_round_trips_byte_for_byte(monkeypatch, p, bound):
+    # a correct run never reaches the fallback
+    with monkeypatch.context() as m:
+        m.setattr(groupalgebra, "_inversion_by_round_trips", _fallback_entered)
+        proven = fourier_inversion_report(p, bound)
+    assert proven.failed == 0
+    assert proven.to_json() == _round_trip_report(monkeypatch, p, bound).to_json()
+
+
+def _perturb_one_entry(monkeypatch, where):
+    """Patch the exponent table: entry where(|V|) of every nontrivial group gets +1."""
+    real = groupalgebra._zeta_exponent_table
+
+    @functools.cache
+    def perturbed(group, ring):
+        table = [list(row) for row in real(group, ring)]
+        if group.order > 1:
+            i, j = where(group.order)
+            table[i][j] = (table[i][j] + 1) % ring.conductor
+        return tuple(map(tuple, table))
+
+    monkeypatch.setattr(groupalgebra, "_zeta_exponent_table", perturbed)
+
+
+def _drop_the_sign(monkeypatch):
+    """Patch synthesis to use zeta^(+<v,l>)."""
+    def dropped(f):
+        return tuple(groupalgebra._transform(f.group, f.ring, f.values, 1,
+                                             sum(f.group.exponents)))
+
+    monkeypatch.setattr(groupalgebra, "fourier_transform", dropped)
+
+
+def _keep_the_first_term(monkeypatch):
+    """Patch the kernel to drop every nonzero input after the first one."""
+    real = groupalgebra._transform
+
+    def first_only(group, ring, items, sign, extra_exp):
+        first = next((i for i, c in enumerate(items) if c), None)
+        kept = [c if i == first else ring.zero for i, c in enumerate(items)]
+        return real(group, ring, kept, sign, extra_exp)
+
+    monkeypatch.setattr(groupalgebra, "_transform", first_only)
+
+
+@pytest.mark.parametrize("defect", ["diagonal", "off-diagonal", "zero row", "sign",
+                                    "first term only"])
+def test_faulty_table_or_transform_gives_the_round_trip_verdicts(monkeypatch, defect):
+    if defect == "sign":
+        _drop_the_sign(monkeypatch)
+    elif defect == "first term only":
+        _keep_the_first_term(monkeypatch)
+    else:
+        where = {"diagonal": lambda n: (n - 1, n - 1),
+                 "off-diagonal": lambda n: (1, n - 1),
+                 "zero row": lambda n: (0, n // 2)}[defect]
+        _perturb_one_entry(monkeypatch, where)
+    for p, bound in ((2, 16), (3, 27)):
+        proven = fourier_inversion_report(p, bound)
+        oracle = _round_trip_report(monkeypatch, p, bound)
+        assert proven.to_json() == oracle.to_json()
+        failing = {c.subject for c in proven.checks if not c.passed}
+        if defect == "sign":
+            # zeta^-1 = zeta exactly when the exponent is at most 2
+            expected = {f"V={g.notation()}" for g in enumerate_groups(p, bound)
+                        if g.exponent_value > 2}
+        else:
+            expected = {f"V={g.notation()}" for g in enumerate_groups(p, bound)
+                        if g.order > 1}
+        assert failing == expected
+
+
+def _table_from(group, form, M):
+    els = [x.coords for x in elements(group)]
+    return tuple(tuple(form(v, l) % M for l in els) for v in els)
+
+
+def test_each_proof_step_rejects_its_own_defect(monkeypatch):
+    g = G(3, 1, 1)
+    ring = get_ring(3, 3)
+    pairing_form = lambda v, l: v[0] * l[0] + v[1] * l[1]  # noqa: E731
+    table = groupalgebra._zeta_exponent_table(g, ring)
+    assert table == _table_from(g, pairing_form, 3)
+    assert groupalgebra._kernel_columns_match(g, ring, table)
+    assert groupalgebra._table_is_bilinear(g, table, 3)
+    assert groupalgebra._rows_are_orthogonal(ring, table)
+    # Step 2, per generator: symmetric, yet additive along generator 1 - k only
+    # (x -> x^2 is not additive mod 3).
+    for k in (0, 1):
+        twisted = _table_from(g, lambda v, l: pairing_form(v, l) + v[k] ** 2 * l[k] ** 2, 3)
+        assert not groupalgebra._table_is_bilinear(g, twisted, 3)
+    # Step 2, symmetry: <v, sigma l> with sigma(a, b) = (a + b, b) is additive in v
+    # and its rows are orthogonal, but it is not symmetric; a kernel that read
+    # the table by columns would pass step 1 on it while F E != I.
+    skewed = _table_from(g, lambda v, l: pairing_form(v, (l[0] + l[1], l[1])), 3)
+    assert groupalgebra._rows_are_orthogonal(ring, skewed)
+    assert not groupalgebra._table_is_bilinear(g, skewed, 3)
+    # Step 3: degenerate forms are bilinear and symmetric but not orthogonal.
+    z9 = G(3, 2)
+    ring9 = get_ring(9, 3)
+    for form in (lambda v, l: 0, lambda v, l: 3 * v[0] * l[0]):
+        degenerate = _table_from(z9, form, 9)
+        assert groupalgebra._table_is_bilinear(z9, degenerate, 9)
+        assert not groupalgebra._rows_are_orthogonal(ring9, degenerate)
+    # Step 4: a kernel that keeps only its first nonzero input is right on every
+    # single-term input, so only the multi-term round trips catch it.
+    with monkeypatch.context() as m:
+        _keep_the_first_term(m)
+        assert groupalgebra._kernel_columns_match(g, ring, table)
+        assert not groupalgebra._fixed_round_trips_hold(g, ring)
+    assert groupalgebra._fixed_round_trips_hold(g, ring)
+    # Step 1: a synthesis without the sign no longer matches the table's columns.
+    z4 = G(2, 2)
+    ring4 = get_ring(4, 2)
+    _drop_the_sign(monkeypatch)
+    assert not groupalgebra._kernel_columns_match(z4, ring4,
+                                                  groupalgebra._zeta_exponent_table(z4, ring4))
