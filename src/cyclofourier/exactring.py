@@ -458,7 +458,7 @@ class CycloElem:
 
     def _coerce(self, other) -> "CycloElem | None":
         if isinstance(other, CycloElem):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("elements from different rings")
             return other
         if isinstance(other, int):
@@ -522,8 +522,8 @@ class CycloElem:
 
     def __eq__(self, other):
         if isinstance(other, CycloElem):
-            return (self.ring == other.ring and self.nums == other.nums
-                    and self.exp == other.exp)
+            return ((self.ring is other.ring or self.ring == other.ring)
+                    and self.nums == other.nums and self.exp == other.exp)
         return NotImplemented
 
     def __hash__(self):

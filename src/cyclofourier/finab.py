@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import Iterator, Sequence
 
 from .report import BudgetExceeded
@@ -257,7 +258,7 @@ class GroupHom:
     p^(max(f_i - e_j, 0)); entries are stored reduced mod p^(f_i).
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "matrix", "_moduli")
 
     def __init__(self, source: FinAbGroup, target: FinAbGroup,
                  matrix: Sequence[Sequence[int]]):
@@ -285,12 +286,22 @@ class GroupHom:
         self.source = source
         self.target = target
         self.matrix = tuple(rows)
+        self._moduli = target.factor_orders
+
+    @classmethod
+    def _trusted(cls, source: FinAbGroup, target: FinAbGroup,
+                 rows: tuple[tuple[int, ...], ...]) -> "GroupHom":
+        """A hom from rows already reduced and well-defined by construction."""
+        hom = cls.__new__(cls)
+        hom.source = source
+        hom.target = target
+        hom.matrix = rows
+        hom._moduli = target.factor_orders
+        return hom
 
     def _apply_coords(self, coords: Sequence[int]) -> tuple[int, ...]:
-        p = self.source.prime
-        tgt = self.target.exponents
-        return tuple(sum(a * c for a, c in zip(row, coords)) % p ** tgt[i]
-                     for i, row in enumerate(self.matrix))
+        return tuple(sum(map(mul, row, coords)) % mod
+                     for row, mod in zip(self.matrix, self._moduli))
 
     def apply(self, v: GroupElem) -> GroupElem:
         if v.group != self.source:
@@ -359,8 +370,8 @@ def dual_hom(f: GroupHom) -> GroupHom:
                     raise ArithmeticError("well-definedness violated; construction bug")
                 b = a // step
             row.append(b % p ** src[j])
-        rows.append(row)
-    return GroupHom(f.target, f.source, rows)
+        rows.append(tuple(row))
+    return GroupHom._trusted(f.target, f.source, tuple(rows))
 
 
 def hom_count(source: FinAbGroup, target: FinAbGroup) -> int:
@@ -391,9 +402,9 @@ def enumerate_homs(source: FinAbGroup, target: FinAbGroup,
     ncols = len(src)
     seen = 0
     for flat in itertools.product(*choice_sets):
-        rows = [flat[i * ncols : (i + 1) * ncols] for i in range(len(tgt))]
+        rows = tuple(flat[i * ncols : (i + 1) * ncols] for i in range(len(tgt)))
         seen += 1
-        yield GroupHom(source, target, rows)
+        yield GroupHom._trusted(source, target, rows)
     if seen != total:
         raise ArithmeticError("homomorphism count mismatch; enumeration bug")
 

@@ -93,7 +93,7 @@ class AlgElem:
         if len(coeffs) != group.order:
             raise ValueError("one coefficient per group element required")
         for c in coeffs:
-            if c.ring != ring:
+            if c.ring is not ring and c.ring != ring:
                 raise ValueError("coefficient from the wrong ring")
         self.group = group
         self.ring = ring
@@ -141,7 +141,7 @@ class FunElem:
         if len(values) != group.order:
             raise ValueError("one value per dual element required")
         for v in values:
-            if v.ring != ring:
+            if v.ring is not ring and v.ring != ring:
                 raise ValueError("value from the wrong ring")
         self.group = group
         self.ring = ring

@@ -317,19 +317,28 @@ def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
 def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None,
                       fn: CircleFunction | None = None,
                       ring: CycloRing | None = None,
-                      dump_matrix: bool = False, limit: int = 1 << 20) -> VerifyReport:
+                      dump_matrix: bool = False, limit: int = 10 ** 7) -> VerifyReport:
     """Determinant-unit check for every group, plus naturality up to a sub-bound.
 
-    ``limit`` bounds the homs enumerated per group pair, as in ``naturality_sweep``.
+    ``limit`` bounds each unit of brute-force work.  BudgetExceeded is raised
+    before any matrix is built when n^3 * phi(M), for the largest group order
+    n and the conductor M of the entries' ring (phi = 1 for the integer spike
+    values), exceeds it; the naturality part enumerates at most ``limit``
+    homs per group pair, as in ``naturality_sweep``.
     """
     fn = fn if fn is not None else CircleFunction.spike(p)
     if ring is None:
         ring = fn.ring if fn.kind == "table" else spike_ring(p)
+    groups = enumerate_groups(p, max_order)
+    n = max(g.order for g in groups)
+    if n ** 3 * ring.degree > limit:
+        raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{ring.conductor}] "
+                             f"exceed the bound {limit}")
     report = VerifyReport("verify-iso",
                           {"p": p, "max_order": max_order, "alpha": fn.label(),
                            "hom_order_bound": hom_order_bound,
                            "conductor": ring.conductor})
-    for group in enumerate_groups(p, max_order):
+    for group in groups:
         mat = transform_matrix(group, fn, ring)
         det = determinant(mat)
         payload: dict = {"determinant": det.coeff_strings()}

@@ -1,40 +1,60 @@
-"""Matrices over the exact rings, with two independent exact determinants.
+"""Matrices over the exact rings, with independent exact determinants.
 
-Over a cyclotomic ring the determinant is computed by fraction-free
-(Bareiss) elimination: denominators are cleared up front, every
-intermediate entry is then a minor of an integer-coefficient matrix over
-Z[zeta_M], and each step divides exactly by the previous pivot.  Over
-Z/m, and as a cross-check oracle everywhere, a division-free expansion
-over column subsets is used (exponential, fine at the small sizes where
-it is applied).  Over Z/m the expansion runs on the residues as plain
-ints, one minor per column subset in a list indexed by the subset's mask,
-each reduced mod m; over a cyclotomic ring it runs on the ring elements,
-as the oracle for Bareiss.
+Over Z[zeta_M] of degree phi = phi(M) > 1, the determinant is computed
+modulo one prime q that splits Phi_M into linear factors, and lifted:
 
-Elements of Z[zeta_M] are integer vectors of length phi(M) on the power
-basis, and multiplying by x is the phi(M) x phi(M) integer matrix
-``_mult_rows(x)`` whose column j is x * zeta^j.  Dividing by the previous
-pivot q is multiplying by its adjugate adj (the product of its nontrivial
-Galois conjugates) and dividing exactly by the integer norm n0 = adj * q.
-Step k folds adj into the two multipliers, so entry (i, j) becomes
+* Bound.  With denominators cleared, the entries a_ij are integer vectors
+  on the power basis.  Lift them to polynomials of degree < phi in Z[x].
+  By Leibniz, the lifted determinant D has ||D||_1 <= perm(||a_ij||_1) <=
+  prod_i sum_j ||a_ij||_1, the permanent being at most the product of its
+  row sums.  Phi_M divides x^M - 1, so reducing D mod Phi_M sends each x^k
+  to zeta^(k mod M), whose power-basis coefficients are at most
+  C_M = max_{0 <= j < M} ||zeta^j||_inf.  Every coefficient of det is
+  therefore at most B = C_M * prod_i sum_j ||a_ij||_1 in absolute value.
+* CRT.  Take q = 1 (mod M) with q > 2B and phi roots r_i of Phi_M mod q,
+  the powers h^k (k a unit mod M) of one h of order M.  Evaluation
+  f -> (f(r_i))_i is a ring homomorphism Z/q[x] -> (Z/q)^phi that kills
+  Phi_M, and on the power basis its matrix is the Vandermonde matrix
+  V = (r_i^k).  When V is invertible over Z/q it is therefore a ring
+  isomorphism Z/q[x]/(Phi_M) -> (Z/q)^phi, and since a determinant commutes
+  with ring homomorphisms, det(a_ij) mod q = V^(-1) (det(a_ij(r_i)) mod q)_i:
+  one Gaussian elimination over Z/q per root, recombined through V^(-1).
+  Lifting each coefficient to (-q/2, q/2] recovers it exactly, as
+  q/2 > B.
+* Primality of q is not needed.  The argument above holds over Z/q for
+  any q once three things are checked: each r_i is a root of Phi_M mod q
+  (a failure raises ArithmeticError), V^(-1) comes from Gauss-Jordan on
+  unit pivots only, and each per-root elimination divides only by unit
+  pivots (swapping rows; a column that is zero from the pivot down makes
+  that determinant 0).  Over a field every nonzero residue is a unit, so
+  a nonzero pivot that is not a unit shows q composite: that q is dropped
+  and the next candidate is taken.  Candidates are Miller-Rabin probable
+  primes, so this essentially never happens.  The modulus, roots and
+  V^(-1) are cached per (M, bit size of 2B rounded up to 32 bits).
 
-    (adj * p_k) * a_ij + (-adj * m_ik) * a_kj,  then divided by n0,
+Integer matrices (degree 1) take fraction-free Bareiss on ints.
+Fraction-free Bareiss over Z[zeta_M] (``_bareiss_vec``) is kept as a
+test oracle: there, multiplying by x is the phi x phi integer matrix
+``_mult_rows(x)`` whose column j is x * zeta^j, and dividing by the
+previous pivot is multiplying by its adjugate (the product of its
+nontrivial Galois conjugates) and dividing exactly by its integer norm.
 
-and with ``top`` and ``low`` the multiplication matrices of the two
-bracketed factors (``top`` once per step, ``low`` once per row), every
-output coefficient is one dot product of a row of ``top | low`` with
-``a_ij | a_kj``, summed in C.  An entry costs 2 * phi(M)^2 integer
-multiplications and no polynomial reduction; building ``low`` adds
-O(phi(M)^2) per row, and the next adjugate O(phi(M)^3) per step.
+Over Z/m, and as a cross-check oracle everywhere, a division-free
+expansion over column subsets is used (exponential, fine at the small
+sizes where it is applied).  Over Z/m the expansion runs on the residues
+as plain ints, one minor per column subset in a list indexed by the
+subset's mask, each reduced mod m; over a cyclotomic ring it runs on the
+ring elements.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .exactring import CycloElem, CycloRing, ModRing
+from .exactring import CycloElem, CycloRing, ModRing, _is_prime, cyclotomic_polynomial
 
 
 class RingMatrix:
@@ -87,7 +107,7 @@ class RingMatrix:
 
 
 def determinant(mat: RingMatrix):
-    """Exact determinant: Bareiss over a cyclotomic ring, expansion over Z/m."""
+    """Exact determinant: modulo a split prime over Z[zeta_M], expansion over Z/m."""
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
     if isinstance(mat.ring, ModRing):
@@ -159,7 +179,7 @@ def _expansion_mod(rows: list[list[int]], m: int) -> int:
     return minors[0]
 
 
-# -- Bareiss elimination over Z[zeta_M], denominators cleared ----------
+# -- determinants over Z[zeta_M], denominators cleared -------------------
 
 
 def _det_cyclo(mat: RingMatrix) -> CycloElem:
@@ -174,16 +194,198 @@ def _det_cyclo(mat: RingMatrix) -> CycloElem:
                 for i in range(n)]
         det = _bareiss_int(rows)
         return CycloElem(ring, (det,), n * shift)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = mat.at(i, j)
+    scaled = {}  # one integer vector per distinct entry
+    for e in mat.entries:
+        key = (e.nums, e.exp)
+        if key not in scaled:
             s = p ** (shift - e.exp)
-            row.append([c * s for c in e.nums])
-        rows.append(row)
-    det_vec = _bareiss_vec(rows, ring)
-    return CycloElem(ring, det_vec, n * shift)
+            scaled[key] = tuple(c * s for c in e.nums)
+    rows = [[scaled[e.nums, e.exp] for e in mat.row(i)] for i in range(n)]
+    return CycloElem(ring, _det_modular(rows, ring), n * shift)
+
+
+class _NotAField(Exception):
+    """A nonzero pivot that is not a unit: the modulus is composite."""
+
+
+class _Split(NamedTuple):
+    """q, powers[i][k] = r_i^k mod q for the phi roots r_i of Phi_M, and V^(-1) mod q."""
+
+    modulus: int
+    powers: tuple[tuple[int, ...], ...]
+    inverse: tuple[tuple[int, ...], ...]
+
+
+def _det_modular(rows: list[list[tuple[int, ...]]], ring: CycloRing) -> list[int]:
+    """det over Z[zeta_M] of integer coefficient vectors, modulo one split q > 2B."""
+    M = ring.conductor
+    height = max(max(map(abs, ring.zeta(j).nums)) for j in range(M))
+    bound = height
+    for row in rows:
+        bound *= sum(sum(map(abs, a)) for a in row)
+    bits = 32 * max(1, -(-(2 * bound).bit_length() // 32))
+    floor = 1 << bits
+    while True:
+        split = _split(M, floor)
+        if split.modulus <= 2 * bound:
+            raise ArithmeticError(f"modulus {split.modulus} does not exceed twice "
+                                  f"the coefficient bound {bound}")
+        try:
+            return _det_by_embeddings(rows, split)
+        except _NotAField:
+            floor = split.modulus
+
+
+def _det_by_embeddings(rows: list[list[tuple[int, ...]]], split: _Split) -> list[int]:
+    """Balanced coefficients of det mod q: one elimination per root, then V^(-1)."""
+    q = split.modulus
+    values: dict[tuple[int, ...], list[int]] = {}
+    evaluated = []
+    for row in rows:
+        out = []
+        for a in row:
+            v = values.get(a)
+            if v is None:
+                v = values[a] = [sum(map(mul, a, pw)) % q for pw in split.powers]
+            out.append(v)
+        evaluated.append(out)
+    dets = [_det_mod([[v[i] for v in row] for row in evaluated], q)
+            for i in range(len(split.powers))]
+    half = q // 2
+    coeffs = [sum(map(mul, row, dets)) % q for row in split.inverse]
+    return [c - q if c > half else c for c in coeffs]
+
+
+def _det_mod(rows: list[list[int]], q: int) -> int:
+    """Determinant mod q by elimination on unit pivots (rows are consumed).
+
+    Only the multiplier and the pivot row are reduced mod q, so an entry
+    grows by less than q^2 per step and stays below n * q^2 + q.
+    """
+    n = len(rows)
+    det = 1
+    for k in range(n):
+        for r in range(k, n):
+            pivot = rows[r][k] % q
+            if pivot:
+                break
+        else:
+            return 0
+        if r != k:
+            rows[k], rows[r] = rows[r], rows[k]
+            det = -det
+        try:
+            inv = pow(pivot, -1, q)
+        except ValueError:
+            raise _NotAField(q) from None
+        det = det * pivot % q
+        tail = [x * inv % q for x in rows[k][k + 1:]]
+        for i in range(k + 1, n):
+            row = rows[i]
+            f = row[k] % q
+            if f:
+                row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
+    return det % q
+
+
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin to the first 13 prime bases (a proof below 3.3 * 10^24)."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _candidates(conductor: int, floor: int) -> Iterator[int]:
+    """Probable primes q = 1 (mod conductor) with q > floor, ascending."""
+    q = floor + 1 + (-floor) % conductor
+    while True:
+        if _probable_prime(q):
+            yield q
+        q += conductor
+
+
+def _root_of_order(q: int, conductor: int) -> int | None:
+    """h with h^M = 1 and h^(M/l) - 1 a unit mod q for each prime l | M.
+
+    Such an h has order M modulo every prime factor of q, so it is a root of
+    Phi_M mod q and so is h^k for every k prime to M.  None when a base shows
+    q composite: g^(q-1) != 1, or a proper factor of q turns up.
+    """
+    cofactors = [conductor // l for l in range(2, conductor + 1)
+                 if conductor % l == 0 and _is_prime(l)]
+    for g in range(2, q):
+        h = pow(g, (q - 1) // conductor, q)
+        if pow(h, conductor, q) != 1:
+            return None
+        gcds = [math.gcd(pow(h, c, q) - 1, q) for c in cofactors]
+        if all(d == 1 for d in gcds):
+            return h
+        if any(1 < d < q for d in gcds):
+            return None
+    return None
+
+
+def _inverse_mod(rows: Sequence[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...] | None:
+    """Inverse mod q by Gauss-Jordan on unit pivots; None when a column has none."""
+    n = len(rows)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    for k in range(n):
+        for r in range(k, n):
+            if math.gcd(aug[r][k], q) == 1:
+                break
+        else:
+            return None
+        inv = pow(aug[r][k], -1, q)
+        pivot = [x * inv % q for x in aug[r]]
+        aug[r] = aug[k]
+        aug[k] = pivot
+        for i in range(n):
+            f = aug[i][k]
+            if i != k and f:
+                aug[i] = [(x - f * y) % q for x, y in zip(aug[i], pivot)]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+@lru_cache(maxsize=None)
+def _split(conductor: int, floor: int) -> _Split:
+    """The first candidate q > floor with phi checked roots of Phi_M and V^(-1) mod q."""
+    phi_m = cyclotomic_polynomial(conductor)
+    units = [k for k in range(1, conductor) if math.gcd(k, conductor) == 1]
+    for q in _candidates(conductor, floor):
+        h = _root_of_order(q, conductor)
+        if h is None:
+            continue
+        roots = [pow(h, k, q) for k in units]
+        for r in roots:
+            if phi_m.evaluate(r, q):
+                raise ArithmeticError(f"{r} is not a root of Phi_{conductor} mod {q}")
+        powers = tuple(tuple(pow(r, k, q) for k in range(phi_m.degree)) for r in roots)
+        inverse = _inverse_mod(powers, q)
+        if inverse is not None:
+            return _Split(q, powers, inverse)
+
+
+# -- fraction-free Bareiss: on ints, and over Z[zeta_M] as a test oracle --
 
 
 def _bareiss_int(m: list[list[int]]) -> int:

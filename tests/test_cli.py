@@ -204,6 +204,23 @@ def test_fourier_respects_the_budget(capsys, monkeypatch):
     assert code == 3 and out == "" and f"the bound {estimate - 1}" in err
 
 
+def test_iso_respects_the_budget(capsys, monkeypatch):
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "iso", "--p", "2", "--max-order", "4096")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err.startswith("budget exceeded: ")
+    # n^3 * phi(M) for the largest group order n; the spike's ring has phi = 1
+    estimate = max(g.order for g in enumerate_groups(5, 125)) ** 3
+    argv = ("verify", "iso", "--p", "5", "--max-order", "125")
+    monkeypatch.setenv("CYCLO_BUDGET", str(estimate))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["failed"] == 0
+    monkeypatch.setenv("CYCLO_BUDGET", str(estimate - 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == "" and f"the bound {estimate - 1}" in err
+
+
 def test_module_runs_as_a_script():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

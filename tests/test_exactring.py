@@ -178,6 +178,19 @@ def test_mismatched_rings_rejected():
         a + b
 
 
+def test_rings_built_directly_interoperate_with_interned_rings():
+    interned = get_ring(8, 2)
+    direct = CycloRing(8, 2)
+    assert direct is not interned and direct == interned
+    x = direct.zeta(1) + interned.zeta(2)
+    assert x == interned.zeta(1) + direct.zeta(2)
+    assert direct.zeta(3) * interned.zeta(5) == interned.one == direct.one
+    assert hash(direct.one) == hash(interned.one)
+    assert is_unit(interned.zeta(1) - direct.one)  # norm 2, inverted in the ring
+    with pytest.raises(ValueError):
+        CycloRing(4, 2).one + interned.one
+
+
 def test_lift_conductor():
     r2, r4 = get_ring(2, 2), get_ring(4, 2)
     assert lift_conductor(r2.one, 4) == r4.one

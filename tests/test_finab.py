@@ -209,6 +209,22 @@ def test_hom_validation():
     assert all(z.apply(v).is_zero() for v in elements(G(2, 2)))
 
 
+def test_trusted_homs_equal_validated_homs():
+    # enumerate_homs and dual_hom skip GroupHom's validation; every hom they
+    # build must equal the validated hom on the same matrix.
+    for p, bound in ((2, 16), (3, 27)):
+        groups = enumerate_groups(p, bound)
+        for V in groups:
+            for W in groups:
+                for f in enumerate_homs(V, W):
+                    checked = GroupHom(V, W, f.matrix)
+                    assert f == checked and f._moduli == checked._moduli
+                    fs = dual_hom(f)
+                    checked = GroupHom(W, V, fs.matrix)
+                    assert fs == checked and fs._moduli == checked._moduli
+                    assert all(type(row) is tuple for row in fs.matrix)
+
+
 def test_enumerate_groups():
     got = [g.exponents for g in enumerate_groups(2, 4)]
     assert got == [(), (1,), (2,), (1, 1)]

@@ -1,14 +1,19 @@
-"""Determinant tests: Bareiss elimination against the expansion oracle and sympy."""
+"""Determinant tests: the split-prime kernel and Bareiss against the expansion oracle and sympy."""
 
 import random
+from itertools import chain
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclofourier import (FinAbGroup, LocalizedInt, ModRing, RingMatrix, determinant,
-                          determinant_expansion, get_ring, norm, random_table_function,
-                          standard_ring, transform_matrix)
-from cyclofourier.matrix import _bareiss_int
+                          determinant_expansion, get_ring, matrix, norm,
+                          random_table_function, standard_ring, transform_matrix)
+from cyclofourier.cli import main
+from cyclofourier.matrix import (_NotAField, _bareiss_int, _bareiss_vec, _det_by_embeddings,
+                                 _det_modular)
 
 
 def _int_matrix(ring, rows):
@@ -90,6 +95,128 @@ def test_bareiss_matches_expansion_on_transform_and_random_matrices():
             singular = RingMatrix.from_rows(ring, rows)
             assert not determinant(singular)
             assert not determinant_expansion(singular)
+
+
+# (conductor, inverted prime) of the rings the split-prime kernel is checked over
+_KERNEL_RINGS = [(3, 3), (4, 2), (5, 5), (7, 7), (8, 2), (9, 3), (12, 3), (18, 3), (20, 5)]
+
+
+@pytest.fixture
+def fresh_splits():
+    matrix._split.cache_clear()
+    yield
+    matrix._split.cache_clear()
+
+
+def _cleared_rows(mat):
+    """Integer coefficient vectors of the entries, the shared denominator p^shift cleared."""
+    p = mat.ring.prime
+    shift = max(e.exp for e in mat.entries)
+    return [[tuple(c * p ** (shift - e.exp) for c in e.nums) for e in mat.row(i)]
+            for i in range(mat.rows)]
+
+
+def _kernel_matches_bareiss(mat):
+    rows = _cleared_rows(mat)
+    assert _det_modular(rows, mat.ring) == _bareiss_vec([[list(a) for a in row] for row in rows],
+                                                       mat.ring)
+
+
+def _kernel_matches_oracles(mat):
+    _kernel_matches_bareiss(mat)
+    det = determinant(mat)
+    assert det == determinant_expansion(mat)
+    return det
+
+
+def test_split_prime_kernel_matches_bareiss_and_expansion():
+    rng = random.Random(205)
+    for M, p in _KERNEL_RINGS:
+        ring = get_ring(M, p)
+        for n in (1, 2, 3, 4, 5):
+            # entries carry denominators p^0 .. p^2
+            rows = _random_cyclo_matrix(ring, n, rng)
+            det = _kernel_matches_oracles(RingMatrix.from_rows(ring, rows))
+            if n == 1:
+                assert det == rows[0][0]
+            zero_row = [list(row) for row in rows]
+            zero_row[rng.randrange(n)] = [ring.zero] * n
+            assert not _kernel_matches_oracles(RingMatrix.from_rows(ring, zero_row))
+            if n > 1:
+                # one row a multiple of another: singular
+                i, j = rng.sample(range(n), 2)
+                rows[j] = [ring.zeta(1) * x for x in rows[i]]
+                assert not _kernel_matches_oracles(RingMatrix.from_rows(ring, rows))
+
+
+def test_split_prime_kernel_matches_bareiss_on_transform_matrices():
+    for p, exps, r in _TRANSFORM_CASES + [(3, (2, 1), 2), (5, (1, 1), 1), (2, (3, 1), 3)]:
+        ring = standard_ring(p, r)
+        for seed in range(6):
+            fn = random_table_function(p, r, random.Random(seed), ring)
+            _kernel_matches_bareiss(transform_matrix(FinAbGroup(p, exps), fn, ring))
+
+
+def test_a_row_swap_under_one_embedding_only(monkeypatch, fresh_splits):
+    # 17 = 1 (mod 8) splits Phi_8 = x^4 + 1, and zeta - 2 vanishes under zeta -> 2
+    # alone, so only that elimination swaps rows.  The coefficient bound is
+    # 1 * (3 + 1) * (1 + 1) = 8, and 17 > 2 * 8, so the lift is still exact.
+    real = matrix._candidates
+    monkeypatch.setattr(matrix, "_candidates", lambda M, floor: chain([17], real(M, floor)))
+    ring = get_ring(8, 2)
+    z = ring.zeta(1)
+    mat = RingMatrix.from_rows(ring, [[z - 2, ring.one], [ring.one, ring.one]])
+    split = matrix._split(8, 1 << 32)
+    roots = [powers[1] for powers in split.powers]
+    assert split.modulus == 17 and [(r - 2) % 17 == 0 for r in roots].count(True) == 1
+    assert determinant(mat) == z - 3 == determinant_expansion(mat)
+
+
+# Q = 67993 * 271969, both factors 1 (mod 8).  The root search finds an h of
+# order 8 modulo each factor, so Q gets checked roots of Phi_8 and an inverse
+# Vandermonde matrix, and only the non-unit pivot 67993 shows it composite.
+_COMPOSITE = 67993 * 271969
+
+
+def test_a_composite_candidate_is_rejected(monkeypatch, fresh_splits):
+    real = matrix._candidates
+    monkeypatch.setattr(matrix, "_candidates", lambda M, floor: chain(
+        [_COMPOSITE] if floor < _COMPOSITE else [], real(M, floor)))
+    ring = get_ring(8, 2)
+    mat = RingMatrix.from_rows(ring, [[ring.from_int(67993), ring.one],
+                                      [ring.one, ring.zeta(1)]])
+    composite = matrix._split(8, 1 << 32)
+    assert composite.modulus == _COMPOSITE and not matrix._probable_prime(_COMPOSITE)
+    with pytest.raises(_NotAField):
+        _det_by_embeddings(_cleared_rows(mat), composite)
+    assert determinant(mat) == ring.zeta(1) * 67993 - 1 == determinant_expansion(mat)
+    assert matrix._split(8, _COMPOSITE).modulus > _COMPOSITE
+
+
+def test_a_claimed_root_that_is_not_a_root_is_an_internal_error(monkeypatch, fresh_splits,
+                                                                capsys):
+    monkeypatch.setattr(matrix, "_root_of_order", lambda q, conductor: 1)
+    ring = get_ring(8, 2)
+    with pytest.raises(ArithmeticError, match="not a root of Phi_8"):
+        determinant(RingMatrix.from_rows(ring, [[ring.zeta(1)]]))
+    argv = ["verify", "criterion-oracle", "--p", "2", "--r", "2", "--samples", "1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
+_COEFF = st.one_of(st.integers(-3, 3), st.integers(-(1 << 70), 1 << 70))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(st.data())
+def test_split_prime_kernel_property(data):
+    M, p = data.draw(st.sampled_from(_KERNEL_RINGS))
+    ring = get_ring(M, p)
+    n = data.draw(st.integers(1, 4))
+    entries = [ring.element([LocalizedInt(data.draw(_COEFF), data.draw(st.integers(0, 2)), p)
+                             for _ in range(ring.degree)])
+               for _ in range(n * n)]
+    _kernel_matches_oracles(RingMatrix(ring, n, n, entries))
 
 
 def _regular_representation(mat):
