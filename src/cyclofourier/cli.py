@@ -25,10 +25,9 @@ from .exactring import _is_prime, cyclotomic_polynomial, is_unit
 from .groupalgebra import fourier_inversion_report
 from .isoverify import (CircleFunction, criterion_vs_determinant, natural_iso_sweep,
                         naturality_sweep)
-from .report import BudgetExceeded, VerifyReport
+from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
 
 DEFAULT_SEED = 1729
-DEFAULT_BUDGET = 10 ** 7
 
 _DEFAULT_MAX_ORDER = {2: 32, 3: 27}
 _DEFAULT_NATURAL_ORDER = {2: 16, 3: 27}
@@ -171,21 +170,35 @@ def cmd_diag(args) -> int:
 
 
 def cmd_gauss_table(args) -> int:
-    _prime("--p", args.p)
+    """One row per (N, chi, u), with G(chi, eps_u) and whether it is a unit.
+
+    One norm per chi decides its coprime rows: for p not dividing u, t -> u^-1 t
+    gives G(chi, eps_u) = chi(u^-1) G(chi, eps_1), whose norm is
+    N(zeta^k) N(G(chi, eps_1)) = +-N(G(chi, eps_1)), so it is a unit exactly
+    when the base sum is.  The identity is checked on each row; every other
+    row (p | u, or an identity that fails) takes ``is_unit`` of its own value.
+    """
+    p = _prime("--p", args.p)
     _int_at_least("--max-r", args.max_r)
     rows = []
     for r in range(1, args.max_r + 1):
-        N = args.p ** r
-        ring = standard_ring(args.p, r)
-        for chi in enumerate_characters(args.p, r, ring):
+        N = p ** r
+        ring = standard_ring(p, r)
+        for chi in enumerate_characters(p, r, ring):
+            base = gauss_sum(chi, u=1)
+            base_unit = is_unit(base)
             for u in range(N):
                 value = gauss_sum(chi, u=u)
+                if u % p and value == chi.eval(pow(u, -1, N)) * base:
+                    unit = base_unit
+                else:
+                    unit = is_unit(value)
                 rows.append({
                     "N": N,
                     "chi_exponents": ";".join(map(str, chi.exponents)),
                     "u": u,
                     "sum_coeffs": ";".join(value.coeff_strings()),
-                    "is_unit": is_unit(value),
+                    "is_unit": unit,
                 })
     if args.format == "json":
         _emit(json.dumps(rows, indent=2), args.output)

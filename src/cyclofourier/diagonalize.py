@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .exactring import ModRing, cyclotomic_polynomial
 from .matrix import RingMatrix, determinant
-from .report import BudgetExceeded
+from .report import DEFAULT_BUDGET, BudgetExceeded
 
 REASON_NOT_INVERTIBLE = "n-not-invertible"
 REASON_NO_ROOT = "no-cyclotomic-root"
@@ -33,7 +33,7 @@ class DiagVerdict:
         return {"decision": False, "reason": self.reason}
 
 
-def decide_diag_cyclic(n: int, m: int, budget: int = 10 ** 7) -> DiagVerdict:
+def decide_diag_cyclic(n: int, m: int, budget: int = DEFAULT_BUDGET) -> DiagVerdict:
     """Does the algebra of Z/n over Z/m split completely?
 
     True iff n is invertible mod m and the n-th cyclotomic polynomial has
@@ -54,7 +54,7 @@ def decide_diag_cyclic(n: int, m: int, budget: int = 10 ** 7) -> DiagVerdict:
     return DiagVerdict(False, None, REASON_NO_ROOT)
 
 
-def decide_diag_group(orders: list[int], m: int, budget: int = 10 ** 7) -> DiagVerdict:
+def decide_diag_group(orders: list[int], m: int, budget: int = DEFAULT_BUDGET) -> DiagVerdict:
     """Same decision for a direct sum of cyclic groups: reduce to the exponent."""
     if any(o < 1 for o in orders):
         raise ValueError("cyclic orders must be >= 1")
@@ -73,7 +73,7 @@ class VandermondeSplit:
     det: int
 
 
-def vandermonde_iso(n: int, m: int, xi: int, budget: int = 10 ** 7) -> VandermondeSplit:
+def vandermonde_iso(n: int, m: int, xi: int, budget: int = DEFAULT_BUDGET) -> VandermondeSplit:
     """The evaluation matrix (xi^(i j)) realizing the splitting, fully verified.
 
     Checks: the determinant is a unit mod m; xi^i - xi^j is a unit for
@@ -150,7 +150,7 @@ def complete_idempotent_set(idems: list[int], m: int) -> tuple[int, ...]:
     return tuple(sorted(v for _, v in atoms))
 
 
-def count_idempotents_group_algebra(m: int, n: int, budget: int = 10 ** 7) -> int:
+def count_idempotents_group_algebra(m: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
     """Brute-force count of solutions of x * x = x in the algebra of Z/n over Z/m."""
     if m ** n > budget:
         raise BudgetExceeded(f"{m}^{n} candidates exceed the budget {budget}")

@@ -444,6 +444,9 @@ class CycloElem:
         return tuple(LocalizedInt(n, self.exp, p) for n in self.nums)
 
     def coeff_strings(self) -> list[str]:
+        """str of each coefficient in ``coeffs``; integral values skip the LocalizedInt."""
+        if self.exp == 0:
+            return list(map(str, self.nums))
         return [str(c) for c in self.coeffs]
 
     def is_scalar(self) -> bool:

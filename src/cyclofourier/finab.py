@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterator, Sequence
 
-from .report import BudgetExceeded
+from .report import DEFAULT_BUDGET, BudgetExceeded
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,22 +214,34 @@ def element_index(group: FinAbGroup, coords: Sequence[int]) -> int:
 
 @lru_cache(maxsize=None)
 def pairing_numerators(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
-    """table[i][j] = t with <v_i, l_j> = t / p^(e_1); shape |V| x |V|."""
-    p = group.prime
-    exps = group.exponents
-    if not exps:
+    """table[i][j] = t with <v_i, l_j> = t / p^(e_1); shape |V| x |V|, symmetric.
+
+    Built factor by factor in the lexicographic order, by rows: the rows of
+    the elements with coordinates on the first k factors (the others 0) are
+    extended along g_k by row(v + a g_k) = row(v) + a row(g_k) mod p^(e_1),
+    where row(g_k)[j] = l_k * p^(e_1 - e_k) for the k-th coordinate l_k of
+    l_j.  One vector addition per element: O(|V|^2) in all.
+    """
+    orders = group.factor_orders
+    if not orders:
         return ((0,),)
-    e1 = exps[0]
-    mod = p ** e1
-    weights = [p ** (e1 - e) for e in exps]
-    els = [e.coords for e in elements(group)]
-    table = []
-    for v in els:
-        row = []
-        for l in els:
-            row.append(sum(a * b * w for a, b, w in zip(v, l, weights)) % mod)
-        table.append(tuple(row))
-    return tuple(table)
+    mod = orders[0]
+    size = group.order
+    rows = [[0] * size]
+    before = 1
+    for n_k in orders:
+        after = size // (before * n_k)
+        weight = mod // n_k
+        step = [c * weight for c in range(n_k) for _ in range(after)] * before
+        grown = []
+        for row in rows:
+            grown.append(row)
+            for _ in range(n_k - 1):
+                row = [(x + y) % mod for x, y in zip(row, step)]
+                grown.append(row)
+        rows = grown
+        before *= n_k
+    return tuple(map(tuple, rows))
 
 
 def pairing(v: GroupElem, l: DualElem) -> PadicCircle:
@@ -384,7 +396,7 @@ def hom_count(source: FinAbGroup, target: FinAbGroup) -> int:
 
 
 def enumerate_homs(source: FinAbGroup, target: FinAbGroup,
-                   limit: int = 1 << 20) -> Iterator[GroupHom]:
+                   limit: int = DEFAULT_BUDGET) -> Iterator[GroupHom]:
     """All homomorphisms, one matrix entry choice at a time, deterministic order."""
     total = hom_count(source, target)
     if total > limit:

@@ -55,7 +55,7 @@ from .exactring import CycloElem, CycloRing, is_unit
 from .finab import (FinAbGroup, GroupElem, PadicCircle, element_index, elements,
                     pairing_numerators)
 from .matrix import RingMatrix
-from .report import BudgetExceeded, VerifyReport
+from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
 
 
 def _p_adic_valuation(n: int, p: int) -> int:
@@ -266,24 +266,20 @@ def transform_matrix(group: FinAbGroup, fn, ring: CycloRing) -> RingMatrix:
     """Matrix of the map parameterized by a circle function: entry fn(<v,l>).
 
     ``fn`` exposes value_at(point, ring) and covers_level(level); rows are
-    indexed by dual elements, columns by group elements.
+    indexed by dual elements, columns by group elements.  fn is evaluated
+    once per residue t mod p^(e_1), at the point t / p^(e_1), and each row is
+    built by indexing those values with a row of ``pairing_numerators``,
+    which is symmetric: row l lists the numerators of <v, l> over v.
     """
     p = group.prime
     e1 = group.exponents[0] if group.exponents else 0
     if not fn.covers_level(e1):
         raise ValueError(f"circle function not defined at level {e1}")
-    table = pairing_numerators(group)
-    n = group.order
-    cache: dict[tuple[int, int], CycloElem] = {}
+    values = [fn.value_at(PadicCircle(p, t, e1), ring) for t in range(p ** e1)]
     entries = []
-    for l in range(n):
-        for v in range(n):
-            t = table[v][l]
-            val = cache.get((t, e1))
-            if val is None:
-                val = fn.value_at(PadicCircle(p, t, e1), ring)
-                cache[(t, e1)] = val
-            entries.append(val)
+    for row in pairing_numerators(group):
+        entries.extend(map(values.__getitem__, row))
+    n = group.order
     return RingMatrix(ring, n, n, entries)
 
 
@@ -354,7 +350,7 @@ def is_unit_monoid_algebra(coeffs: Sequence[CycloElem], p: int, r: int) -> bool:
 # -- inversion sweep -----------------------------------------------------
 
 
-def fourier_inversion_report(p: int, max_order: int, limit: int = 10 ** 7) -> VerifyReport:
+def fourier_inversion_report(p: int, max_order: int, limit: int = DEFAULT_BUDGET) -> VerifyReport:
     """Both composites of evaluation and synthesis are the identity, per group.
 
     Each group is proven by the four steps of the module docstring, in

@@ -27,7 +27,7 @@ from .finab import (FinAbGroup, GroupHom, PadicCircle, circle_points, dual_eleme
                     identity_hom, pairing, pairing_numerators)
 from .groupalgebra import transform_matrix
 from .matrix import determinant
-from .report import BudgetExceeded, VerifyReport
+from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
 
 
 class CircleFunction:
@@ -179,7 +179,7 @@ def random_table_function(p: int, r: int, rng: random.Random,
 
 
 def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
-                             extra_groups: int = 2, limit: int = 10 ** 7) -> VerifyReport:
+                             extra_groups: int = 2, limit: int = DEFAULT_BUDGET) -> VerifyReport:
     """Per sample: criterion verdict must equal the determinant verdict on Z/p^r.
 
     ``extra_groups`` additional groups of exponent p^r (order at most
@@ -280,7 +280,7 @@ def _naturality_pair(V: FinAbGroup, W: FinAbGroup, fn: CircleFunction,
 
 def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
                      ring: CycloRing | None = None,
-                     limit: int = 1 << 20) -> VerifyReport:
+                     limit: int = DEFAULT_BUDGET) -> VerifyReport:
     """Naturality squares for every homomorphism between groups up to the bound.
 
     Each hom f: V -> W from ``enumerate_homs`` (at most ``limit`` per pair,
@@ -317,7 +317,7 @@ def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
 def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None,
                       fn: CircleFunction | None = None,
                       ring: CycloRing | None = None,
-                      dump_matrix: bool = False, limit: int = 10 ** 7) -> VerifyReport:
+                      dump_matrix: bool = False, limit: int = DEFAULT_BUDGET) -> VerifyReport:
     """Determinant-unit check for every group, plus naturality up to a sub-bound.
 
     ``limit`` bounds each unit of brute-force work.  BudgetExceeded is raised

@@ -32,9 +32,31 @@ modulo one prime q that splits Phi_M into linear factors, and lifted:
   primes, so this essentially never happens.  The modulus, roots and
   V^(-1) are cached per (M, bit size of 2B rounded up to 32 bits).
 
-Integer matrices (degree 1) take fraction-free Bareiss on ints.
-Fraction-free Bareiss over Z[zeta_M] (``_bareiss_vec``) is kept as a
-test oracle: there, multiplying by x is the phi x phi integer matrix
+Integer matrices (degree 1) take fraction-free Bareiss on ints that skips
+zero multipliers:
+
+* Bareiss step k sends a_ij (i, j > k) to (p_k a_ij - a_ik a_kj) / p_(k-1),
+  with p_k the k-th pivot and p_(-1) = 1.  By Sylvester's identity every
+  entry so made is a minor of the input, so an integer.
+* When a_ik = 0 the step is the rescale a_ij -> p_k a_ij / p_(k-1), and
+  Sylvester's identity makes p_k a_ij / p_(k-1) an integer for such an
+  untouched row.  The row is not rewritten.  Over consecutive skipped
+  steps the rescales telescope, so a row whose last update divided by d
+  holds stored entries x whose Bareiss entries are x * prev / d, prev the
+  current previous pivot: its pending scale.  The row keeps d.
+* The pending scale is folded into the row's next update: with lead its
+  stored entry in the pivot column,
+  (p_k (x prev / d) - (lead prev / d) y) / prev = (p_k x - lead y) / d,
+  the Bareiss entry, so the division is exact.  A row becoming the pivot
+  row is rescaled by prev / d first, and so is the last entry at the end;
+  both give Bareiss entries, so both divisions are exact.
+* A stored entry is 0 exactly when its Bareiss entry is, so pivots and row
+  swaps are those of dense Bareiss, with the same determinant and sign.
+  On the spike's transform matrices most multipliers are 0: for Z/125,
+  585 of 7,750 row updates have a nonzero one.
+
+Fraction-free Bareiss over Z[zeta_M] (``_bareiss_vec``), dense, is kept
+as a test oracle: there, multiplying by x is the phi x phi integer matrix
 ``_mult_rows(x)`` whose column j is x * zeta^j, and dividing by the
 previous pivot is multiplying by its adjugate (the product of its
 nontrivial Galois conjugates) and dividing exactly by its integer norm.
@@ -189,17 +211,15 @@ def _det_cyclo(mat: RingMatrix) -> CycloElem:
         return ring.one
     p = ring.prime
     shift = max(e.exp for e in mat.entries)
-    if ring.degree == 1:
-        rows = [[mat.at(i, j).nums[0] * p ** (shift - mat.at(i, j).exp) for j in range(n)]
-                for i in range(n)]
-        det = _bareiss_int(rows)
-        return CycloElem(ring, (det,), n * shift)
     scaled = {}  # one integer vector per distinct entry
     for e in mat.entries:
         key = (e.nums, e.exp)
         if key not in scaled:
             s = p ** (shift - e.exp)
             scaled[key] = tuple(c * s for c in e.nums)
+    if ring.degree == 1:
+        rows = [[scaled[e.nums, e.exp][0] for e in mat.row(i)] for i in range(n)]
+        return CycloElem(ring, (_bareiss_int(rows),), n * shift)
     rows = [[scaled[e.nums, e.exp] for e in mat.row(i)] for i in range(n)]
     return CycloElem(ring, _det_modular(rows, ring), n * shift)
 
@@ -389,7 +409,14 @@ def _split(conductor: int, floor: int) -> _Split:
 
 
 def _bareiss_int(m: list[list[int]]) -> int:
+    """Fraction-free Bareiss on an integer matrix that skips zero multipliers.
+
+    Rows are consumed.  A row whose entry in the pivot column is 0 is not
+    rewritten; it records the divisor of its last update instead, and its
+    pending scale is folded into its next update (module docstring).
+    """
     n = len(m)
+    since = [1] * n  # Bareiss row i = stored row i * prev / since[i]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -397,20 +424,25 @@ def _bareiss_int(m: list[list[int]]) -> int:
             for r in range(k + 1, n):
                 if m[r][k]:
                     m[k], m[r] = m[r], m[k]
+                    since[k], since[r] = since[r], since[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pk = m[k][k]
         rowk = m[k]
+        if since[k] != prev:
+            rowk[k:] = [x * prev // since[k] for x in rowk[k:]]
+        pk = rowk[k]
+        tail = rowk[k + 1:]
         for i in range(k + 1, n):
             rowi = m[i]
-            mik = rowi[k]
-            for j in range(k + 1, n):
-                rowi[j] = (pk * rowi[j] - mik * rowk[j]) // prev
-            rowi[k] = 0
+            lead = rowi[k]
+            if lead:
+                div = since[i]
+                rowi[k + 1:] = [(pk * x - lead * y) // div for x, y in zip(rowi[k + 1:], tail)]
+                since[i] = pk
         prev = pk
-    return sign * m[n - 1][n - 1]
+    return sign * (m[n - 1][n - 1] * prev // since[n - 1])
 
 
 def _mult_rows(x: list[int], ring: CycloRing) -> list[tuple[int, ...]]:

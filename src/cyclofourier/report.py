@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 
+# The one default bound on brute-force work: every budgeted entry point
+# and the CLI take it unless given another.
+DEFAULT_BUDGET = 10 ** 7
+
+
 class BudgetExceeded(RuntimeError):
     """A brute-force enumeration would exceed the configured budget."""
 

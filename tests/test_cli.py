@@ -1,5 +1,8 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import csv
+import inspect
+import io
 import json
 import os
 import subprocess
@@ -9,10 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from cyclofourier import cli, enumerate_groups, isoverify
+from cyclofourier import (diagonalize, enumerate_characters, enumerate_groups, finab,
+                          gauss_sum, groupalgebra, is_primitive, is_unit, isoverify,
+                          standard_ring)
+from cyclofourier import cli
 from cyclofourier.cli import _emit_report, main
 from cyclofourier.diagonalize import SplitVerificationError
-from cyclofourier.report import VerifyReport
+from cyclofourier.report import DEFAULT_BUDGET, VerifyReport
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +123,98 @@ def test_gauss_table_json(capsys):
     assert {row["N"] for row in rows} == {2, 4}
     assert all(set(row) == {"N", "chi_exponents", "u", "sum_coeffs", "is_unit"}
                for row in rows)
+
+
+_GAUSS_TABLE_FIELDS = ["N", "chi_exponents", "u", "sum_coeffs", "is_unit"]
+
+
+def _gauss_table_oracle(p, max_r, fmt):
+    """The gauss-table output with one is_unit per row."""
+    rows = []
+    for r in range(1, max_r + 1):
+        ring = standard_ring(p, r)
+        for chi in enumerate_characters(p, r, ring):
+            for u in range(p ** r):
+                value = gauss_sum(chi, u=u)
+                rows.append({"N": p ** r, "chi_exponents": ";".join(map(str, chi.exponents)),
+                             "u": u, "sum_coeffs": ";".join(str(c) for c in value.coeffs),
+                             "is_unit": is_unit(value)})
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=_GAUSS_TABLE_FIELDS)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue().rstrip("\n") + "\n"
+
+
+@pytest.mark.parametrize("p, max_r", [(2, 4), (3, 3), (5, 2)])
+def test_gauss_table_matches_a_per_row_unit_oracle(capsys, p, max_r):
+    for fmt in ("csv", "json"):
+        code, out, _ = run_cli(capsys, "gauss-table", "--p", str(p), "--max-r", str(max_r),
+                               "--format", fmt)
+        assert code == 0 and out == _gauss_table_oracle(p, max_r, fmt)
+
+
+def test_gauss_table_twisted_rows_reuse_the_base_flag(capsys, monkeypatch):
+    def table():
+        code, out, _ = run_cli(capsys, "gauss-table", "--p", "3", "--max-r", "3",
+                               "--format", "json")
+        assert code == 0
+        return json.loads(out)
+
+    before = table()
+    bases = []  # G(chi, eps_1) of each chi, kept alive so ids stay unique
+    real_sum, real_unit = cli.gauss_sum, cli.is_unit
+
+    def marking_sum(chi, u=None, tau=None):
+        value = real_sum(chi, u=u, tau=tau)
+        if u == 1:
+            bases.append(value)
+        return value
+
+    def base_not_a_unit(x):
+        return False if any(x is b for b in bases) else real_unit(x)
+
+    monkeypatch.setattr(cli, "gauss_sum", marking_sum)
+    monkeypatch.setattr(cli, "is_unit", base_not_a_unit)
+    after = table()
+    primitive = {(3 ** r, ";".join(map(str, chi.exponents))): is_primitive(chi)
+                 for r in (1, 2, 3) for chi in enumerate_characters(3, r, standard_ring(3, r))}
+    flipped = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+    coprime = [i for i, row in enumerate(before) if row["u"] % 3]
+    # every coprime row, imprimitive chi included, takes the flag of its base sum
+    assert bases and all(not after[i]["is_unit"] for i in coprime)
+    assert flipped == [i for i in coprime if before[i]["is_unit"]]
+    assert any(not primitive[before[i]["N"], before[i]["chi_exponents"]] for i in flipped)
+    assert all(before[i]["is_unit"] and not after[i]["is_unit"] for i in flipped)
+    assert all({**a, "is_unit": None} == {**b, "is_unit": None} for a, b in zip(before, after))
+
+
+def test_every_budgeted_entry_point_defaults_to_the_one_budget():
+    assert cli.DEFAULT_BUDGET is DEFAULT_BUDGET == 10 ** 7
+    entry_points = {
+        (finab.enumerate_homs, "limit"), (isoverify.naturality_sweep, "limit"),
+        (isoverify.natural_iso_sweep, "limit"), (isoverify.criterion_vs_determinant, "limit"),
+        (groupalgebra.fourier_inversion_report, "limit"),
+        (diagonalize.decide_diag_cyclic, "budget"), (diagonalize.decide_diag_group, "budget"),
+        (diagonalize.vandermonde_iso, "budget"),
+        (diagonalize.count_idempotents_group_algebra, "budget"),
+        (cli._budget_from_env, "default"),
+    }
+    # any other function of the package with a defaulted budget parameter counts as well
+    for module in (finab, isoverify, groupalgebra, diagonalize, cli):
+        for _, fn in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            entry_points.update((fn, name) for name in ("limit", "budget")
+                                if name in params
+                                and params[name].default is not inspect.Parameter.empty)
+    # identity, so that a default written as its own 10 ** 7 literal fails
+    for fn, name in entry_points:
+        assert inspect.signature(fn).parameters[name].default is DEFAULT_BUDGET, fn
+    assert cli.RunConfig("verify-iso").budget is DEFAULT_BUDGET
+    args = cli.build_parser().parse_args(["diag", "--modulus", "5", "--n", "4"])
+    assert args.budget is DEFAULT_BUDGET
 
 
 def test_output_file(tmp_path, capsys):

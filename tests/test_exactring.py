@@ -11,10 +11,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cyclofourier import (CycloRing, IntPolynomial, LocalizedInt, ModRing, NotAUnitError,
-                          cyclotomic_polynomial, euler_phi, galois_conjugate, get_ring,
-                          inverse, is_unit, lift_conductor, norm)
+from cyclofourier import (CycloElem, CycloRing, IntPolynomial, LocalizedInt, ModRing,
+                          NotAUnitError, cyclotomic_polynomial, euler_phi, galois_conjugate,
+                          get_ring, inverse, is_unit, lift_conductor, norm)
 
 CONDUCTORS = [1, 3, 4, 5, 6, 8, 9, 12, 16, 18, 27]
 
@@ -154,6 +156,55 @@ def test_ring_axioms_on_random_triples():
             assert x * one == x
             assert x + ring.zero == x
             assert x - x == ring.zero
+
+
+# (conductor, inverted prime) of the rings the ring axioms are checked over
+_AXIOM_RINGS = [(1, 2), (1, 3), (3, 2), (3, 3), (4, 2), (4, 3), (8, 2), (9, 3), (12, 2),
+                (12, 3), (18, 2), (18, 3)]
+
+
+@st.composite
+def _ring_and_elements(draw, count=3):
+    M, p = draw(st.sampled_from(_AXIOM_RINGS))
+    ring = get_ring(M, p)
+    coeff = st.one_of(st.integers(-3, 3), st.integers(-(1 << 60), 1 << 60))
+
+    def element():
+        return ring.element([LocalizedInt(draw(coeff), draw(st.integers(0, 3)), p)
+                             for _ in range(ring.degree)])
+
+    return ring, [element() for _ in range(count)]
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_ring_and_elements())
+def test_ring_axioms_property(ring_and_elements):
+    ring, (x, y, z) = ring_and_elements
+    zero, one = ring.zero, ring.one
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * z == x * z + y * z
+    assert x + zero == x and x * one == x and one * x == x
+    assert x * zero == zero and not x * zero
+    assert x - x == zero and not x - x
+    assert x - y == -(y - x)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(_ring_and_elements(count=1), st.integers(1, 3))
+def test_equal_values_with_different_denominators_keep_the_eq_hash_contract(ring_and_elements,
+                                                                             k):
+    # x with its shared denominator raised by k, and x * p^k / p^k
+    ring, (x,) = ring_and_elements
+    p = ring.prime
+    raised = CycloElem(ring, [c * p ** k for c in x.nums], x.exp + k)
+    scaled = x * ring.from_int(p ** k) * ring.scalar(LocalizedInt(1, k, p))
+    for y in (raised, scaled, CycloRing(ring.conductor, p).element(list(x.coeffs))):
+        assert y == x and x == y
+        assert hash(y) == hash(x)
+        assert {x: "x"}[y] == "x"
 
 
 def test_zeta_power_examples():
@@ -327,6 +378,25 @@ def test_coeff_view_and_serialization():
     x = ring.element([LocalizedInt(3, 1, 2), LocalizedInt(1, 0, 2)])
     assert x.coeff_strings() == ["3/2^1", "1"]
     assert [c.as_fraction() for c in x.coeffs] == [Fraction(3, 2), Fraction(1)]
+
+
+def test_coeff_strings_match_the_localized_coefficients():
+    rng = random.Random(107)
+    for M in CONDUCTORS:
+        for p in (2, 3, 5):
+            ring = get_ring(M, p)
+            for _ in range(20):
+                # p-divisible, zero and negative numerators over denominators p^0 .. p^3
+                x = ring.element([LocalizedInt(rng.choice((0, 1, -1)) * rng.randint(0, 9)
+                                               * p ** rng.randint(0, 3), rng.randint(0, 3), p)
+                                  for _ in range(ring.degree)])
+                assert x.coeff_strings() == [str(c) for c in x.coeffs]
+                half = ring.scalar(LocalizedInt(1, rng.randint(0, 2), p))
+                y = ring.zeta(rng.randrange(M)) * half
+                assert y.coeff_strings() == [str(c) for c in y.coeffs]
+    ring = get_ring(9, 3)
+    x = CycloElem(ring, [0, 9, -3, 2, 27, -81], 2)
+    assert x.coeff_strings() == ["0", "1", "-1/3^1", "2/3^2", "3", "-9"]
 
 
 def test_conductor_one_ring_is_the_scalar_ring():

@@ -125,6 +125,21 @@ def test_pairing_nondegenerate_up_to_64():
                     assert any(not pairing(v, l).is_zero() for v in els)
 
 
+def test_pairing_numerators_match_the_per_entry_formula():
+    # table[i][j] = sum_k v_k * l_k * p^(e_1 - e_k) mod p^(e_1), entry by entry
+    for p, max_order in ((2, 64), (3, 81), (5, 125)):
+        for grp in enumerate_groups(p, max_order):
+            els = [e.coords for e in elements(grp)]
+            if not grp.exponents:
+                assert pairing_numerators(grp) == ((0,),)
+                continue
+            e1 = grp.exponents[0]
+            weights = [p ** (e1 - e) for e in grp.exponents]
+            expected = tuple(tuple(sum(a * b * w for a, b, w in zip(v, l, weights)) % p ** e1
+                                   for l in els) for v in els)
+            assert pairing_numerators(grp) == expected, grp
+
+
 def test_double_dual_is_a_bijection():
     # match each v against the unique functional on the dual it induces
     for p in (2, 3, 5):

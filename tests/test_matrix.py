@@ -8,9 +8,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclofourier import (FinAbGroup, LocalizedInt, ModRing, RingMatrix, determinant,
-                          determinant_expansion, get_ring, matrix, norm,
-                          random_table_function, standard_ring, transform_matrix)
+from cyclofourier import (CircleFunction, FinAbGroup, LocalizedInt, ModRing, RingMatrix,
+                          determinant, determinant_expansion, enumerate_groups, get_ring,
+                          matrix, norm, random_table_function, spike_ring, standard_ring,
+                          transform_matrix)
 from cyclofourier.cli import main
 from cyclofourier.matrix import (_NotAField, _bareiss_int, _bareiss_vec, _det_by_embeddings,
                                  _det_modular)
@@ -56,6 +57,87 @@ def test_bareiss_matches_expansion_over_cyclotomic_entries():
                        for _ in range(n * n)]
             mat = RingMatrix(ring, n, n, entries)
             assert determinant(mat) == determinant_expansion(mat)
+
+
+def _seeded_integer_matrices(rng):
+    """Sparse and dense integer matrices, with zero columns, repeated rows and row swaps."""
+    for n in range(1, 9):
+        for density in (0.2, 0.5, 1):
+            rows = [[rng.randint(-6, 6) if rng.random() < density else 0 for _ in range(n)]
+                    for _ in range(n)]
+            yield rows
+            zero_col = [row[:] for row in rows]
+            j = rng.randrange(n)
+            for row in zero_col:
+                row[j] = 0
+            yield zero_col
+            if n > 1:
+                repeated = [row[:] for row in rows]
+                i, j = rng.sample(range(n), 2)
+                repeated[j] = repeated[i][:]
+                yield repeated
+                # a_00 = a_10 = a_11 = 0: step 0 swaps row 0 with a later row,
+                # and row 1, left untouched by step 0, is swapped at step 1.
+                swapped = [row[:] for row in rows]
+                swapped[0][0] = 0
+                swapped[1][0] = swapped[1][1] = 0
+                yield swapped
+        # permutation-like: one nonzero per row and column, so nearly every
+        # multiplier is zero and rows carry their pending scale to the end
+        perm = rng.sample(range(n), n)
+        yield [[rng.choice((-3, -2, 2, 3)) if j == perm[i] else 0 for j in range(n)]
+               for i in range(n)]
+
+
+def test_bareiss_int_matches_sympy_and_expansion_on_sparse_and_dense_matrices():
+    ring = get_ring(1, 2)
+    count = 0
+    for rows in _seeded_integer_matrices(random.Random(206)):
+        det = _bareiss_int([row[:] for row in rows])
+        assert det == sympy.Matrix(rows).det(), rows
+        assert ring.from_int(det) == determinant_expansion(_int_matrix(ring, rows)), rows
+        count += 1
+    assert count == 98
+
+
+def test_bareiss_int_skips_zero_multipliers_on_large_sparse_matrices():
+    # Lower-bidiagonal plus a few entries: most rows keep a pending scale
+    # over many steps before their multiplier becomes nonzero.
+    rng = random.Random(207)
+    for n in (12, 20, 30):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = rng.choice((-5, -3, 2, 3, 7))
+            if i:
+                rows[i][i - 1] = rng.randint(-4, 4)
+        for _ in range(n):
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(-9, 9)
+        for mat in (rows, rows[::-1], [list(col) for col in zip(*rows)]):
+            assert _bareiss_int([row[:] for row in mat]) == sympy.Matrix(mat).det()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_bareiss_int_property(data):
+    n = data.draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(1 << 40), 1 << 40))
+    rows = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    det = _bareiss_int([row[:] for row in rows])
+    assert det == sympy.Matrix(rows).det()
+    ring = get_ring(1, 3)
+    assert ring.from_int(det) == determinant_expansion(_int_matrix(ring, rows))
+
+
+@pytest.mark.parametrize("p, max_order", [(2, 64), (3, 81), (5, 25)])
+def test_bareiss_int_matches_dense_bareiss_on_every_spike_transform(p, max_order):
+    ring = spike_ring(p)
+    fn = CircleFunction.spike(p)
+    for group in enumerate_groups(p, max_order):
+        mat = transform_matrix(group, fn, ring)
+        rows = [[e.nums[0] for e in mat.row(i)] for i in range(mat.rows)]
+        det = _bareiss_int([row[:] for row in rows])
+        assert [det] == _bareiss_vec([[[c] for c in row] for row in rows], ring), group
+        assert determinant(mat) == ring.from_int(det)
 
 
 # Transform matrices of the criterion oracle: (prime, exponents, level r) with the
