@@ -95,7 +95,7 @@ def _alpha_from_name(name: str, p: int) -> CircleFunction:
 
 
 def cmd_phi(args) -> int:
-    poly = cyclotomic_polynomial(args.n)
+    poly = cyclotomic_polynomial(_int_at_least("--n", args.n))
     if args.format == "json":
         _emit(json.dumps([str(c) for c in poly.coeffs]), args.output)
     else:
@@ -153,16 +153,17 @@ def cmd_verify(args) -> int:
 
 def cmd_diag(args) -> int:
     budget = _budget_from_env(args.budget)
-    if args.group:
-        orders = [int(tok) for tok in args.group.split(",") if tok]
-        verdict = decide_diag_group(orders, args.modulus, budget=budget)
+    m = _int_at_least("--modulus", args.modulus, low=2)
+    if args.group is not None:
+        orders = [_int_at_least("--group", tok) for tok in args.group.split(",") if tok]
+        verdict = decide_diag_group(orders, m, budget=budget)
         n = math.lcm(*orders) if orders else 1
     else:
-        n = args.n
-        verdict = decide_diag_cyclic(n, args.modulus, budget=budget)
+        n = _int_at_least("--n", args.n)
+        verdict = decide_diag_cyclic(n, m, budget=budget)
     payload = verdict.to_json()
     if args.emit_iso and verdict.decision:
-        split = vandermonde_iso(n, args.modulus, verdict.witness, budget=budget)
+        split = vandermonde_iso(n, m, verdict.witness, budget=budget)
         payload["points"] = list(split.points)
         payload["matrix"] = split.matrix.to_json()
     _emit(json.dumps(payload), args.output)

@@ -20,8 +20,12 @@ way (each of which would end in a dense |V| x |V| synthesis, O(|V|^3) per
 group).  With T the exponent table and s = sum of the group's exponents
 (|V| = p^s), ``fourier_inversion_report`` checks:
 
-1. Kernel columns: evaluate_at_characters([v]) = zeta^T[v][.] for every v,
-   and fourier_transform(delta_j) = p^(-s) zeta^(-T[j][.]) for every j.
+1. Kernel columns, from one packed input per direction: with B = 2H + 1,
+   where H = max_u ||zeta^u||_inf in the power basis (H = 1 when M is a
+   prime power), evaluate_at_characters(sum_v B^v [v]) at l equals
+   sum_v B^v zeta^T[v][l], and fourier_transform(sum_j B^j delta_j) at l
+   equals p^(-s) sum_j B^j zeta^(-T[j][l]).  The expected values are summed
+   from the sparse power-basis supports of the zeta^u, not by the kernel.
 2. Bilinearity: T[0][.] = 0, T is symmetric, and
    T[v + g_k][l] = T[v][l] + T[g_k][l] (mod M) for every generator g_k.
 3. Orthogonality: sum_l zeta^T[u][l] = |V| [u = 0] for every u, summed in
@@ -29,8 +33,19 @@ group).  With T the exponent table and s = sum of the group's exponents
 4. One multi-term round trip each way on the fixed input
    [0] + 2[g_1] + 3[g_2] + ... (delta functions likewise).
 
-The kernel is a sum over input terms, so it is Z[zeta]-linear and step 1
-determines both maps: E[l][v] = zeta^T[v][l], F[v][l] = p^(-s) zeta^(-T[l][v]).
+The kernel is a sum over input terms, so it is Z[zeta]-linear.  Step 1 is
+therefore the check on every single-term input, read off in base B (a
+Kronecker substitution): write K for a transform, E for its value from the
+table, e_v for the v-th single-term input and x_B = sum_v B^v e_v.  On e_v
+the kernel reduces one monomial mod Phi_M (and divides by p^s when it
+synthesizes), so p^s K(e_v) and p^s E(e_v) have integer coefficients of
+absolute value at most H (s = 0 when it evaluates).  If K(x_B) = E(x_B),
+then sum_v B^v d_v = 0 with d_v = p^s (K(e_v) - E(e_v)), whose coefficients
+are at most 2H = B - 1 in absolute value.  Were some d_v nonzero, let v0 be
+the largest such v and k a slot with d_v0[k] != 0; then
+|B^v0 d_v0[k]| >= B^v0 > (B - 1) sum_(v<v0) B^v >= |sum_(v<v0) B^v d_v[k]|,
+a contradiction.  So K(e_v) = E(e_v) for every v, and step 1 determines
+both maps: E[l][v] = zeta^T[v][l], F[v][l] = p^(-s) zeta^(-T[l][v]).
 By steps 2 and 3, (F E)[w][v] = p^(-s) sum_l zeta^(T[v][l] - T[w][l]) =
 p^(-s) sum_l zeta^T[v-w][l] = [v = w], and E F = I the same way through
 the rows of the symmetric table.  Step 4 guards the multi-term
@@ -38,7 +53,10 @@ accumulation (shared denominators, repeated slots) that the linearity
 argument relies on.  It uses a sparse input, O(|V|^2 * rank) per group;
 a dense input would cost O(|V|^2 * phi(M)), so the seeded dense-input
 oracle of the test suite (test_transforms_match_pairing_oracle) remains
-the dense guard.  Steps 1-3 cost O(|V|^2 * (M + rank)).
+the dense guard.  Step 1 costs O(|V|^2 * (1 + nnz)) additions of
+|V| log2(B)-bit integers plus |V| reductions per direction, with nnz the
+largest support of a zeta^u (at most p - 1 when M = p^e); step 2 costs
+O(|V|^2 * rank) and step 3 O(|V|^2) plus |V| reductions.
 
 When any step fails, the group is decided by ``_inversion_by_round_trips``
 (every basis vector, both ways), so verdicts and the first failing
@@ -354,11 +372,12 @@ def fourier_inversion_report(p: int, max_order: int, limit: int = DEFAULT_BUDGET
     """Both composites of evaluation and synthesis are the identity, per group.
 
     Each group is proven by the four steps of the module docstring, in
-    O(|V|^2 * (M + rank)); a group on which any step fails is decided by
-    the per-basis-vector round trips of ``_inversion_by_round_trips``,
-    which supply the verdicts and the first failing index.  BudgetExceeded
-    is raised before any arithmetic when sum over groups of |V|^2 * M
-    exceeds ``limit``.
+    O(|V|^2 * (rank + nnz)) plus O(|V|) reductions mod Phi_M; a group on
+    which any step fails is decided by the per-basis-vector round trips of
+    ``_inversion_by_round_trips``, which supply the verdicts and the first
+    failing index.  BudgetExceeded is raised before any arithmetic when sum
+    over groups of |V|^2 * M exceeds ``limit``; that estimate charges a
+    length-M sum to every (input, output) pair, more than the proof does.
     """
     from .finab import enumerate_groups
 
@@ -390,22 +409,37 @@ def _inversion_proven(group: FinAbGroup, ring: CycloRing) -> bool:
 
 
 def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, exps) -> bool:
-    """Step 1: both transforms of every single-term input, against the table."""
+    """Step 1: each transform once, on one packed input, against the table.
+
+    Evaluation runs on sum_v B^v [v] and synthesis on sum_j B^j delta_j, with
+    B = 2H + 1 for H the largest |coefficient| of any zeta^u.  Output l must
+    be sum_v B^v zeta^T[v][l], or p^(-s) sum_j B^j zeta^(-T[j][l]), built from
+    the sparse power-basis supports of the zeta^u.  By the base-B argument of
+    the module docstring this holds iff both transforms match the table on
+    every single-term input.
+    """
     M = ring.conductor
-    n = group.order
-    zetas = [ring.zeta(u) for u in range(M)]
-    # p^(-s) zeta^(-u), indexed by u
-    scaled = [CycloElem(ring, zetas[-u % M].nums, sum(group.exponents)) for u in range(M)]
-    for v, x in enumerate(elements(group)):
-        got = evaluate_at_characters(basis_element(group, ring, x)).values
-        if got != tuple(zetas[t] for t in exps[v]):
-            return False
-    for j in range(n):
-        delta = [ring.zero] * n
-        delta[j] = ring.one
-        if fourier_transform(FunElem(group, ring, delta)) != tuple(scaled[t] for t in exps[j]):
-            return False
-    return True
+    supports = [[(k, c) for k, c in enumerate(ring.zeta(u).nums) if c] for u in range(M)]
+    base = 2 * max(abs(c) for support in supports for _, c in support) + 1
+    weights = [base ** v for v in range(group.order)]
+    packed = [ring.from_int(w) for w in weights]
+    columns = list(zip(*exps))
+    if evaluate_at_characters(AlgElem(group, ring, packed)).values != tuple(
+            _packed_sum(ring, weights, supports, col, 0) for col in columns):
+        return False
+    conjugates = [supports[-u % M] for u in range(M)]
+    s = sum(group.exponents)
+    return fourier_transform(FunElem(group, ring, packed)) == tuple(
+        _packed_sum(ring, weights, conjugates, col, s) for col in columns)
+
+
+def _packed_sum(ring: CycloRing, weights, supports, column, exp: int) -> CycloElem:
+    """p^(-exp) sum_v weights[v] zeta^column[v], summed support by support (no reduction)."""
+    acc = [0] * ring.degree
+    for w, u in zip(weights, column):
+        for k, c in supports[u]:
+            acc[k] += w * c
+    return CycloElem(ring, acc, exp)
 
 
 def _table_is_bilinear(group: FinAbGroup, exps, M: int) -> bool:

@@ -96,6 +96,11 @@ def test_diag_outputs(capsys):
     code, out, _ = run_cli(capsys, "diag", "--modulus", "6", "--group", "2,2")
     assert code == 0
     assert json.loads(out) == {"decision": False, "reason": "n-not-invertible"}
+    # an empty list of cyclic orders is the trivial group, as "," is
+    for orders in ("", ","):
+        code, out, _ = run_cli(capsys, "diag", "--modulus", "5", "--group", orders)
+        assert code == 0
+        assert json.loads(out) == {"decision": True, "witness": 1}
 
 
 def test_diag_emit_iso(capsys):
@@ -377,6 +382,12 @@ def test_criterion_oracle_respects_the_budget(capsys, monkeypatch):
     (("verify", "fourier", "--p", "2", "--max-order", "0"), "--max-order"),
     (("verify", "fourier", "--p", "2", "--max-order", "-4"), "--max-order"),
     (("verify", "iso", "--natural-max-order", "-1"), "--natural-max-order"),
+    (("phi", "--n", "0"), "--n"),
+    (("diag", "--modulus", "5", "--n", "0"), "--n"),
+    (("diag", "--modulus", "1", "--n", "4"), "--modulus"),
+    (("diag", "--modulus", "-7", "--group", "2,2"), "--modulus"),
+    (("diag", "--modulus", "5", "--group", "2,x"), "--group"),
+    (("diag", "--modulus", "5", "--group", "2,0"), "--group"),
 ])
 def test_invalid_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     target = tmp_path / "report.out"

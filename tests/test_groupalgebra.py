@@ -1,6 +1,7 @@
 """Convolution, the evaluation map and its matrix, Fourier inversion, unit tests."""
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -428,11 +429,14 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
         degenerate = _table_from(z9, form, 9)
         assert groupalgebra._table_is_bilinear(z9, degenerate, 9)
         assert not groupalgebra._rows_are_orthogonal(ring9, degenerate)
-    # Step 4: a kernel that keeps only its first nonzero input is right on every
-    # single-term input, so only the multi-term round trips catch it.
+    # Steps 1 and 4: a kernel that keeps only its first nonzero input is right on
+    # every single-term input, which is all the per-input check of step 1 looks
+    # at; the packed input of step 1 has |V| terms and the round trips of step 4
+    # have rank + 1, so both reject it.
     with monkeypatch.context() as m:
         _keep_the_first_term(m)
-        assert groupalgebra._kernel_columns_match(g, ring, table)
+        assert _single_term_columns_match(g, ring, table)
+        assert not groupalgebra._kernel_columns_match(g, ring, table)
         assert not groupalgebra._fixed_round_trips_hold(g, ring)
     assert groupalgebra._fixed_round_trips_hold(g, ring)
     # Step 1: a synthesis without the sign no longer matches the table's columns.
@@ -441,3 +445,119 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
     _drop_the_sign(monkeypatch)
     assert not groupalgebra._kernel_columns_match(z4, ring4,
                                                   groupalgebra._zeta_exponent_table(z4, ring4))
+
+
+def test_fourier_proof_at_order_243(monkeypatch):
+    # The 19 groups of order up to 3^5, at exactly their estimate sum |V|^2 * M.
+    monkeypatch.setattr(groupalgebra, "_inversion_by_round_trips", _fallback_entered)
+    report = fourier_inversion_report(3, 243, limit=24_436_351)
+    assert report.failed == 0
+    assert len(report.checks) == 2 * 19
+
+
+# -- step 1 on one packed input against the check of every single-term input --
+
+
+def _single_term_columns_match(group, ring, exps):
+    """Both transforms of every single-term input, against the table."""
+    M = ring.conductor
+    n = group.order
+    zetas = [ring.zeta(u) for u in range(M)]
+    # p^(-s) zeta^(-u), indexed by u
+    scaled = [ring.zeta(-u) * ring.scalar(LocalizedInt(1, sum(group.exponents), ring.prime))
+              for u in range(M)]
+    for v, x in enumerate(elements(group)):
+        got = evaluate_at_characters(basis_element(group, ring, x)).values
+        if got != tuple(zetas[t] for t in exps[v]):
+            return False
+    for j in range(n):
+        delta = [ring.zero] * n
+        delta[j] = ring.one
+        if groupalgebra.fourier_transform(FunElem(group, ring, delta)) != tuple(
+                scaled[t] for t in exps[j]):
+            return False
+    return True
+
+
+def _step_one_verdicts(group, ring, exps):
+    return (groupalgebra._kernel_columns_match(group, ring, exps),
+            _single_term_columns_match(group, ring, exps))
+
+
+_SMALL_GROUPS = [g for p, bound in ((2, 32), (3, 27), (5, 25)) for g in enumerate_groups(p, bound)]
+
+
+def test_packed_step_one_accepts_what_the_single_term_check_accepts():
+    cases = [(g, standard_fourier_ring(g)) for g in _SMALL_GROUPS]
+    # Phi_105 has a coefficient -2, so zeta_105^u reaches 2 and the base is 5.
+    ring105 = get_ring(105, 3)
+    assert max(abs(c) for u in range(105) for c in ring105.zeta(u).nums) == 2
+    cases += [(G(3, 1), ring105), (G(3, 1, 1), ring105)]
+    for g, ring in cases:
+        assert _step_one_verdicts(g, ring, groupalgebra._zeta_exponent_table(g, ring)) == (
+            True, True), g
+
+
+def _kernel_reads(monkeypatch, table):
+    """Patch the table the kernel reads; the expected values still come from exps."""
+    monkeypatch.setattr(groupalgebra, "_zeta_exponent_table", lambda group, ring: table)
+
+
+def _tables_one_entry_off(exps, M):
+    """Every table that differs from exps in exactly one entry."""
+    for i, j in itertools.product(range(len(exps)), repeat=2):
+        for offset in range(1, M):
+            table = [list(row) for row in exps]
+            table[i][j] = (table[i][j] + offset) % M
+            yield tuple(map(tuple, table))
+
+
+def _tables_with_one_row_swap(exps):
+    """Every table that swaps two different entries of the row one output reads.
+
+    Output l sums over the inputs in the order of row l, so the swap leaves the
+    unweighted sum of output l unchanged (a column of exps, by symmetry).
+    """
+    for l, row in enumerate(exps):
+        for a, b in itertools.combinations(range(len(row)), 2):
+            if row[a] != row[b]:
+                table = [list(r) for r in exps]
+                table[l][a], table[l][b] = row[b], row[a]
+                yield tuple(map(tuple, table))
+
+
+@pytest.mark.parametrize("p, exponents", [(2, (2,)), (2, (1, 1)), (3, (1, 1))],
+                         ids=["4", "2+2", "3+3"])
+def test_packed_step_one_rejects_a_kernel_reading_another_table(monkeypatch, p, exponents):
+    g = FinAbGroup(p, exponents)
+    ring = standard_fourier_ring(g)
+    exps = groupalgebra._zeta_exponent_table(g, ring)
+    tables = list(_tables_one_entry_off(exps, ring.conductor))
+    swaps = list(_tables_with_one_row_swap(exps))
+    assert len(tables) == g.order ** 2 * (ring.conductor - 1) and swaps
+    for table in tables + swaps:
+        with monkeypatch.context() as m:
+            _kernel_reads(m, table)
+            assert _step_one_verdicts(g, ring, exps) == (False, False), table
+
+
+def test_packed_step_one_with_base_five(monkeypatch):
+    # Over Z[zeta_105] the base is 5; every one-entry and one-swap defect of the
+    # table of Z/3 is still caught.
+    g = G(3, 1)
+    ring = get_ring(105, 3)
+    exps = groupalgebra._zeta_exponent_table(g, ring)
+    for table in (*_tables_one_entry_off(exps, 105), *_tables_with_one_row_swap(exps)):
+        with monkeypatch.context() as m:
+            _kernel_reads(m, table)
+            assert _step_one_verdicts(g, ring, exps) == (False, False), table
+
+
+def test_packed_step_one_rejects_a_synthesis_without_the_sign(monkeypatch):
+    _drop_the_sign(monkeypatch)
+    for g in _SMALL_GROUPS:
+        ring = standard_fourier_ring(g)
+        # zeta^-1 = zeta exactly when the exponent is at most 2
+        expected = g.exponent_value <= 2
+        verdicts = _step_one_verdicts(g, ring, groupalgebra._zeta_exponent_table(g, ring))
+        assert verdicts == (expected, expected), g
