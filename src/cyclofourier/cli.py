@@ -1,8 +1,9 @@
 """Command-line interface: sweeps, tables, and decision procedures.
 
 Exit codes: 0 when the run succeeded and all checks passed (or a decision
-was rendered), 1 when checks failed, 2 on usage errors, 3 when a
-brute-force budget was exceeded, 4 when an internal self-check failed (an
+was rendered), 1 when checks failed, 2 on usage errors (a flag out of range,
+an unwritable ``--output``), 3 when a brute-force budget was exceeded, 4 when
+an internal self-check failed or any other ``ValueError`` escaped (an
 arithmetic or construction bug, not a verdict).  All randomness flows from
 one seed, so identical configurations give byte-identical reports.
 """
@@ -25,7 +26,7 @@ from .exactring import _is_prime, cyclotomic_polynomial, is_unit
 from .groupalgebra import fourier_inversion_report
 from .isoverify import (CircleFunction, criterion_vs_determinant, natural_iso_sweep,
                         naturality_sweep)
-from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
+from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport, _render
 
 DEFAULT_SEED = 1729
 
@@ -50,21 +51,25 @@ class RunConfig:
     extra_groups: int = 2
 
 
+class UsageError(ValueError):
+    """A flag, environment value or output path the CLI cannot use (exit code 2)."""
+
+
 def _int_at_least(name: str, raw, low: int = 1) -> int:
-    """raw as an int >= low (default 1); anything else is a usage error (exit code 2)."""
+    """raw as an int >= low (default 1); anything else is a usage error."""
     try:
         value = int(raw)
     except ValueError:
         value = low - 1
     if value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {raw!r}")
+        raise UsageError(f"{name} must be an integer >= {low}, got {raw!r}")
     return value
 
 
 def _prime(name: str, value: int) -> int:
-    """value if it is a prime; anything else is a usage error (exit code 2)."""
+    """value if it is a prime; anything else is a usage error."""
     if not _is_prime(value):
-        raise ValueError(f"{name} must be a prime, got {value!r}")
+        raise UsageError(f"{name} must be a prime, got {value!r}")
     return value
 
 
@@ -77,8 +82,12 @@ def _budget_from_env(default: int = DEFAULT_BUDGET) -> int:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                fh.write("\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
     else:
         print(text)
 
@@ -91,7 +100,7 @@ def _emit_report(report: VerifyReport, fmt: str, output: str | None) -> int:
 def _alpha_from_name(name: str, p: int) -> CircleFunction:
     if name in ("tpzc", "spike"):
         return CircleFunction.spike(p)
-    raise ValueError(f"unknown alpha function {name!r}")
+    raise UsageError(f"unknown alpha function {name!r}")
 
 
 def cmd_phi(args) -> int:
@@ -202,7 +211,7 @@ def cmd_gauss_table(args) -> int:
                     "is_unit": unit,
                 })
     if args.format == "json":
-        _emit(json.dumps(rows, indent=2), args.output)
+        _emit(_render(rows, ""), args.output)
     else:
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["N", "chi_exponents", "u",
@@ -272,12 +281,12 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ArithmeticError, SplitVerificationError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (ArithmeticError, SplitVerificationError, ValueError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 def entrypoint() -> None:

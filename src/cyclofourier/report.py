@@ -4,12 +4,20 @@ A report is a flat list of named checks with a pass flag and an optional
 witness value.  Construction order is preserved, nothing depends on wall
 clock or scheduling, and the JSON rendering is deterministic, so runs
 with identical configuration produce byte-identical output.
+
+The JSON rendering is byte-identical to ``json.dumps(obj, indent=2)``, which
+stays the tests' oracle.  With an indent, CPython's json falls back to its
+pure-Python encoder; ``_render`` writes the same bytes directly, escaping
+strings with json's C function ``encode_basestring_ascii``, and a list of
+strings in one join.  Values reports do not carry (floats, dicts with
+non-``str`` keys) are handed to ``json.dumps`` itself and re-indented.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable
 
 
@@ -20,6 +28,43 @@ DEFAULT_BUDGET = 10 ** 7
 
 class BudgetExceeded(RuntimeError):
     """A brute-force enumeration would exceed the configured budget."""
+
+
+def _render(obj, indent: str) -> str:
+    """``json.dumps(obj, indent=2)`` for a value that starts on a line indented by indent.
+
+    Exact because json escapes every newline inside a string: each newline
+    of ``json.dumps`` output is structural, so the fallback re-indents it by
+    prefixing indent to every line after the first.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(_quote, obj))
+        except TypeError:  # not all strings
+            body = sep.join([_render(item, inner) for item in obj])
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        body = sep.join([f"{_quote(key)}: {_render(value, inner)}" for key, value in obj.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +116,16 @@ class VerifyReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """``json.dumps(self.to_json_dict(), indent=2)``, written without the dicts."""
+        ind = " " * 6  # the indent of a check's fields
+        checks = ",\n    ".join([
+            f'{{\n{ind}"id": {_render(c.id, ind)},\n{ind}"subject": {_render(c.subject, ind)},'
+            f'\n{ind}"pass": {_render(c.passed, ind)},\n{ind}"witness": {_render(c.witness, ind)}'
+            '\n    }' for c in self.checks])
+        checks = f"[\n    {checks}\n  ]" if checks else "[]"
+        return (f'{{\n  "command": {_render(self.command, "  ")},'
+                f'\n  "params": {_render(self.params, "  ")},\n  "checks": {checks},'
+                f'\n  "passed": {self.passed},\n  "failed": {self.failed}\n}}')
 
     def to_text(self) -> str:
         lines = []

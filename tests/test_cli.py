@@ -267,10 +267,16 @@ def test_internal_errors_exit_four(capsys, monkeypatch):
     def broken_split(n, m, witness, budget):
         raise SplitVerificationError("Vandermonde determinant 0 not a unit mod 5")
 
+    def broken_gauss(p, r):
+        raise ValueError("need p^r >= 2")
+
     monkeypatch.setattr(isoverify, "dual_hom", broken_dual_hom)
     monkeypatch.setattr(cli, "vandermonde_iso", broken_split)
+    # a ValueError from inside the arithmetic is a bug, not a usage error
+    monkeypatch.setattr(cli, "check_gauss_identities", broken_gauss)
     for argv in (("verify", "naturality", "--p", "2", "--max-order", "4"),
-                 ("diag", "--modulus", "5", "--n", "4", "--emit-iso")):
+                 ("diag", "--modulus", "5", "--n", "4", "--emit-iso"),
+                 ("verify", "gauss", "--p", "2", "--max-r", "1")):
         code, out, err = run_cli(capsys, *argv)
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and err.startswith("internal error: ")
@@ -394,3 +400,22 @@ def test_invalid_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv, "--output", str(target))
     assert code == 2 and out == "" and not target.exists()
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be ")
+
+
+def test_unknown_alpha_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "verify", "iso", "--alpha", "foo")
+    assert code == 2 and out == ""
+    assert err == "error: unknown alpha function 'foo'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "gauss", "--p", "2", "--max-r", "1"),
+    ("diag", "--modulus", "5", "--n", "4"),
+    ("phi", "--n", "4"),
+    ("gauss-table", "--p", "2", "--max-r", "1", "--format", "json"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "report.out"
+    code, out, err = run_cli(capsys, *argv, "--output", str(target))
+    assert code == 2 and out == "" and not target.parent.exists()
+    assert err == f"error: cannot write --output {target}: No such file or directory\n"
