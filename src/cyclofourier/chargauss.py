@@ -207,10 +207,7 @@ def gauss_sum(chi: Character, u: int | None = None,
     if M % N:
         raise ValueError(f"conductor {M} does not contain the {N}-th roots of unity")
     scale = M // N
-    counts = [0] * M
-    for t, v in zip(chi.structure.units, chi.value_row()):
-        counts[(v + u * t * scale) % M] += 1
-    return CycloElem(ring, ring.reduce_vector(counts), 0)
+    return ring.zeta_sum([v + u * t * scale for t, v in zip(chi.structure.units, chi.value_row())])
 
 
 def _gauss_sum_lower(chi: Character, u_prime: int) -> CycloElem:
@@ -223,13 +220,11 @@ def _gauss_sum_lower(chi: Character, u_prime: int) -> CycloElem:
     if M % N_low:
         raise ValueError("conductor too small for the reduced level")
     scale = M // N_low
-    counts = [0] * M
     # The units t < p^(r-1) are also units mod p^r and the first entries of
     # chi's value row; chi factors through the reduction, so chi at the lift
     # is the induced character.
-    for t, v in zip(units_mod(N_low), chi.value_row()):
-        counts[(v + u_prime * t * scale) % M] += 1
-    return CycloElem(ring, ring.reduce_vector(counts), 0)
+    return ring.zeta_sum([v + u_prime * t * scale
+                          for t, v in zip(units_mod(N_low), chi.value_row())])
 
 
 def check_gauss_identities(p: int, r: int, ring: CycloRing | None = None) -> VerifyReport:

@@ -4,7 +4,8 @@ Exit codes: 0 when the run succeeded and all checks passed (or a decision
 was rendered), 1 when checks failed, 2 on usage errors (a flag out of range,
 an unwritable ``--output``), 3 when a brute-force budget was exceeded, 4 when
 an internal self-check failed or any other ``ValueError`` escaped (an
-arithmetic or construction bug, not a verdict).  All randomness flows from
+arithmetic or construction bug, not a verdict), 141 (128 + SIGPIPE) when the
+reader closed stdout before the output was written.  All randomness flows from
 one seed, so identical configurations give byte-identical reports.
 """
 
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .chargauss import check_gauss_identities, enumerate_characters, gauss_sum, standard_ring
 from .diagonalize import (SplitVerificationError, decide_diag_cyclic, decide_diag_group,
@@ -32,23 +32,6 @@ DEFAULT_SEED = 1729
 
 _DEFAULT_MAX_ORDER = {2: 32, 3: 27}
 _DEFAULT_NATURAL_ORDER = {2: 16, 3: 27}
-
-
-@dataclass(slots=True)
-class RunConfig:
-    command: str
-    p: int = 2
-    max_order: int | None = None
-    max_r: int = 3
-    r: int = 2
-    samples: int = 100
-    seed: int = DEFAULT_SEED
-    fmt: str = "json"
-    output: str | None = None
-    budget: int = DEFAULT_BUDGET
-    alpha: str = "tpzc"
-    dump_matrix: bool = False
-    extra_groups: int = 2
 
 
 class UsageError(ValueError):
@@ -112,52 +95,39 @@ def cmd_phi(args) -> int:
     return 0
 
 
-def _config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=f"verify-{args.what}", p=_prime("--p", args.p),
-                    max_r=_int_at_least("--max-r", args.max_r),
-                    r=_int_at_least("--r", args.r),
-                    samples=_int_at_least("--samples", args.samples), seed=args.seed,
-                    fmt=args.format, output=args.output,
-                    budget=_budget_from_env(DEFAULT_BUDGET), alpha=args.alpha,
-                    dump_matrix=args.dump_matrix,
-                    extra_groups=_int_at_least("--extra-groups", args.extra_groups, low=0))
-    if args.max_order is not None:
-        cfg.max_order = _int_at_least("--max-order", args.max_order)
-    else:
-        cfg.max_order = _DEFAULT_MAX_ORDER.get(args.p, args.p ** 3)
-    return cfg
-
-
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    p = cfg.p
+    p = _prime("--p", args.p)
+    max_r = _int_at_least("--max-r", args.max_r)
+    r = _int_at_least("--r", args.r)
+    samples = _int_at_least("--samples", args.samples)
+    budget = _budget_from_env()
+    extra_groups = _int_at_least("--extra-groups", args.extra_groups, low=0)
+    max_order = (_DEFAULT_MAX_ORDER.get(p, p ** 3) if args.max_order is None
+                 else _int_at_least("--max-order", args.max_order))
     if args.what == "fourier":
-        report = fourier_inversion_report(p, cfg.max_order, limit=cfg.budget)
+        report = fourier_inversion_report(p, max_order, limit=budget)
     elif args.what == "gauss":
-        report = VerifyReport("verify-gauss", {"p": p, "max_r": cfg.max_r})
-        for r in range(1, cfg.max_r + 1):
-            report.extend(check_gauss_identities(p, r).checks)
+        report = VerifyReport("verify-gauss", {"p": p, "max_r": max_r})
+        for level in range(1, max_r + 1):
+            report.extend(check_gauss_identities(p, level).checks)
     elif args.what == "iso":
-        fn = _alpha_from_name(cfg.alpha, p)
+        fn = _alpha_from_name(args.alpha, p)
         if args.natural_max_order is not None:
             natural = _int_at_least("--natural-max-order", args.natural_max_order)
         else:
-            natural = min(cfg.max_order, _DEFAULT_NATURAL_ORDER.get(p, 1))
-        report = natural_iso_sweep(p, cfg.max_order, hom_order_bound=natural, fn=fn,
-                                   dump_matrix=cfg.dump_matrix, limit=cfg.budget)
+            natural = min(max_order, _DEFAULT_NATURAL_ORDER.get(p, 1))
+        report = natural_iso_sweep(p, max_order, hom_order_bound=natural, fn=fn,
+                                   dump_matrix=args.dump_matrix, limit=budget)
     elif args.what == "criterion-oracle":
-        report = criterion_vs_determinant(p, cfg.r, cfg.samples, cfg.seed,
-                                          extra_groups=cfg.extra_groups, limit=cfg.budget)
+        report = criterion_vs_determinant(p, r, samples, args.seed,
+                                          extra_groups=extra_groups, limit=budget)
     elif args.what == "naturality":
-        if args.max_order is not None:
-            bound = cfg.max_order
-        else:
-            bound = min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16)
-        fn = _alpha_from_name(cfg.alpha, p)
-        report = naturality_sweep(p, bound, fn, limit=cfg.budget)
+        if args.max_order is None:
+            max_order = min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16)
+        report = naturality_sweep(p, max_order, _alpha_from_name(args.alpha, p), limit=budget)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(args.what)
-    return _emit_report(report, cfg.fmt, cfg.output)
+    return _emit_report(report, args.format, args.output)
 
 
 def cmd_diag(args) -> int:
@@ -290,7 +260,14 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    """main() as the exit code; 141 (128 + SIGPIPE) when the reader closed stdout."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # send the interpreter's last flush of stdout nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,14 @@ Three rings are provided, all exact, with decidable equality:
   monic, so reduction never divides.
 * ``ModRing`` / ``ModElem``: the finite rings Z/m.
 
+The power-basis kernel, each loop once: ``_convolve`` (schoolbook product;
+``CycloElem.__mul__``, ``IntPolynomial.__mul__``), ``CycloRing.zeta_sum``
+(sum of zeta^e, reduced once; ``zeta``, ``chargauss.gauss_sum`` and
+``_gauss_sum_lower``, ``groupalgebra._rows_are_orthogonal``), ``_substitute``
+(zeta^i -> zeta^(i k); ``galois_conjugate``, ``lift_conductor``) and
+``_adjugate_norm`` (product of the nontrivial conjugates, and the norm;
+``norm``, ``inverse``, ``matrix._vec_adjugate_norm``).
+
 Values are immutable after construction and hashable; every operation
 returns a new value, so they are safe to share across threads.
 """
@@ -199,6 +207,17 @@ class LocalizedInt:
         return f"LocalizedInt({self})"
 
 
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Schoolbook product of two coefficient lists, lowest degree first, skipping zeros."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                if d:
+                    out[i + j] += c * d
+    return out
+
+
 class IntPolynomial:
     """Integer polynomial, coefficients lowest degree first, trailing zeros stripped."""
 
@@ -238,15 +257,7 @@ class IntPolynomial:
         return self + IntPolynomial([-c for c in other.coeffs])
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial([])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    if d:
-                        out[i + j] += c * d
-        return IntPolynomial(out)
+        return IntPolynomial(_convolve(self.coeffs, other.coeffs))
 
     def divmod_monic(self, other: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Division with remainder by a monic divisor; exact over Z."""
@@ -402,11 +413,16 @@ class CycloRing:
         u %= self.conductor
         cached = self._zeta_cache.get(u)
         if cached is None:
-            vec = [0] * (u + 1)
-            vec[u] = 1
-            cached = CycloElem(self, self.reduce_vector(vec), 0)
-            self._zeta_cache[u] = cached
+            cached = self._zeta_cache[u] = self.zeta_sum((u,))
         return cached
+
+    def zeta_sum(self, exponents: Iterable[int]) -> "CycloElem":
+        """Sum of zeta^e over the exponents, repeats included: counted mod M, reduced once."""
+        M = self.conductor
+        counts = [0] * M
+        for e in exponents:
+            counts[e % M] += 1
+        return CycloElem(self, self.reduce_vector(counts), 0)
 
 
 @lru_cache(maxsize=None)
@@ -498,12 +514,7 @@ class CycloElem:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = [0] * (2 * self.ring.degree - 1)
-        for i, c in enumerate(self.nums):
-            if c:
-                for j, d in enumerate(o.nums):
-                    if d:
-                        out[i + j] += c * d
+        out = _convolve(self.nums, o.nums)
         return CycloElem(self.ring, self.ring.reduce_vector(out), self.exp + o.exp)
 
     __rmul__ = __mul__
@@ -542,18 +553,22 @@ class CycloElem:
 # -- ring operations on cyclotomic elements ----------------------------
 
 
+def _substitute(x: CycloElem, k: int, target: CycloRing) -> CycloElem:
+    """x with each zeta^i sent to zeta^(i k) of the target ring, reduced once."""
+    M = target.conductor
+    vec = [0] * M
+    for i, c in enumerate(x.nums):
+        if c:
+            vec[i * k % M] += c
+    return CycloElem(target, target.reduce_vector(vec), x.exp)
+
+
 def lift_conductor(x: CycloElem, conductor: int) -> CycloElem:
     """Embed x into the ring of a larger conductor (old must divide new)."""
     old = x.ring.conductor
     if conductor % old != 0:
         raise ValueError(f"{old} does not divide {conductor}")
-    target = get_ring(conductor, x.ring.prime)
-    k = conductor // old
-    vec = [0] * conductor
-    for i, c in enumerate(x.nums):
-        if c:
-            vec[i * k] += c
-    return CycloElem(target, target.reduce_vector(vec), x.exp)
+    return _substitute(x, conductor // old, get_ring(conductor, x.ring.prime))
 
 
 def galois_conjugate(x: CycloElem, t: int) -> CycloElem:
@@ -562,23 +577,25 @@ def galois_conjugate(x: CycloElem, t: int) -> CycloElem:
     t %= M
     if math.gcd(t, M) != 1:
         raise ValueError(f"{t} is not coprime to the conductor {M}")
-    vec = [0] * M if M > 1 else [0]
-    for i, c in enumerate(x.nums):
-        if c:
-            vec[(i * t) % M] += c
-    return CycloElem(x.ring, x.ring.reduce_vector(vec), x.exp)
+    return _substitute(x, t, x.ring)
+
+
+def _adjugate_norm(x: CycloElem) -> tuple[CycloElem, LocalizedInt]:
+    """The product of the nontrivial Galois conjugates of x, then N(x): phi(M) - 1 products."""
+    M = x.ring.conductor
+    conjugates = [galois_conjugate(x, t) for t in range(2, M) if math.gcd(t, M) == 1]
+    if not conjugates:  # phi(M) = 1: x is its own norm
+        return x.ring.one, x.as_scalar()
+    adj = math.prod(conjugates[1:], start=conjugates[0])
+    full = adj * x
+    if any(full.nums[1:]):
+        raise ArithmeticError("norm left the scalar subring; arithmetic bug")
+    return adj, full.as_scalar()
 
 
 def norm(x: CycloElem) -> LocalizedInt:
     """Product of all Galois conjugates; lands in Z[1/p] (checked)."""
-    M = x.ring.conductor
-    acc = x
-    for t in range(2, M):
-        if math.gcd(t, M) == 1:
-            acc = acc * galois_conjugate(x, t)
-    if any(acc.nums[1:]):
-        raise ArithmeticError("norm left the scalar subring; arithmetic bug")
-    return acc.as_scalar()
+    return _adjugate_norm(x)[1]
 
 
 def is_unit(x: CycloElem) -> bool:
@@ -590,15 +607,7 @@ def is_unit(x: CycloElem) -> bool:
 
 def inverse(x: CycloElem) -> CycloElem:
     """Inverse of a unit, via the product of the other conjugates over the norm."""
-    M = x.ring.conductor
-    adj = x.ring.one
-    for t in range(2, M):
-        if math.gcd(t, M) == 1:
-            adj = adj * galois_conjugate(x, t)
-    full = adj * x
-    if any(full.nums[1:]):
-        raise ArithmeticError("norm left the scalar subring; arithmetic bug")
-    n = full.as_scalar()
+    adj, n = _adjugate_norm(x)
     if not n.is_unit():
         raise NotAUnitError(f"element with norm {n} is not a unit")
     return adj * n.inverse()

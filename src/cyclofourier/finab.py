@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .report import DEFAULT_BUDGET, BudgetExceeded
 
@@ -395,14 +395,21 @@ def hom_count(source: FinAbGroup, target: FinAbGroup) -> int:
     return count
 
 
-def enumerate_homs(source: FinAbGroup, target: FinAbGroup,
-                   limit: int = DEFAULT_BUDGET) -> Iterator[GroupHom]:
-    """All homomorphisms, one matrix entry choice at a time, deterministic order."""
+def _require_hom_budget(pairs: Iterable[tuple[FinAbGroup, FinAbGroup]], limit: int) -> int:
+    """The largest hom_count of the (source, target) pairs; BudgetExceeded above limit."""
+    source, target = max(pairs, key=lambda pair: hom_count(*pair))
     total = hom_count(source, target)
     if total > limit:
         raise BudgetExceeded(
             f"{total} homomorphisms {source.notation()} -> {target.notation()} "
             f"exceed the bound {limit}")
+    return total
+
+
+def enumerate_homs(source: FinAbGroup, target: FinAbGroup,
+                   limit: int = DEFAULT_BUDGET) -> Iterator[GroupHom]:
+    """All homomorphisms, one matrix entry choice at a time, deterministic order."""
+    total = _require_hom_budget([(source, target)], limit)
     p = source.prime
     src = source.exponents
     tgt = target.exponents

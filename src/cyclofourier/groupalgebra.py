@@ -459,14 +459,8 @@ def _table_is_bilinear(group: FinAbGroup, exps, M: int) -> bool:
 
 def _rows_are_orthogonal(ring: CycloRing, exps) -> bool:
     """Step 3: sum_l zeta^T[u][l] = |V| [u = 0], counted by exponent, reduced once per row."""
-    zero = [0] * ring.degree
-    for u, row in enumerate(exps):
-        acc = [0] * ring.conductor
-        for t in row:
-            acc[t] += 1
-        if ring.reduce_vector(acc) != (zero if u else [len(row)] + zero[1:]):
-            return False
-    return True
+    return all(ring.zeta_sum(row) == (ring.from_int(len(row)) if u == 0 else ring.zero)
+               for u, row in enumerate(exps))
 
 
 def _fixed_round_trips_hold(group: FinAbGroup, ring: CycloRing) -> bool:

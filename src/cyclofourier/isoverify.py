@@ -15,6 +15,7 @@ f: V -> W and proves its square from the bilinear adjoint identity
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -22,9 +23,9 @@ from typing import Mapping
 
 from .chargauss import enumerate_characters, is_primitive, standard_ring, units_mod
 from .exactring import CycloElem, CycloRing, get_ring, is_unit
-from .finab import (FinAbGroup, GroupHom, PadicCircle, circle_points, dual_elements,
-                    dual_hom, element_index, elements, enumerate_groups, enumerate_homs,
-                    identity_hom, pairing, pairing_numerators)
+from .finab import (FinAbGroup, GroupHom, PadicCircle, _require_hom_budget, circle_points,
+                    dual_elements, dual_hom, element_index, elements, enumerate_groups,
+                    enumerate_homs, identity_hom, pairing, pairing_numerators)
 from .groupalgebra import transform_matrix
 from .matrix import determinant
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
@@ -292,12 +293,14 @@ def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
     generator pair is decided by the entrywise ``naturality_check`` with fn,
     so verdicts stay exact even for a faulty ``dual_hom``; the first hom it
     rejects is the witness.  Cost per pair: O(|Hom(V, W)| * rank(V) * rank(W))
-    pairing lookups instead of O(|Hom(V, W)| * |V| * |W|).
+    pairing lookups instead of O(|Hom(V, W)| * |V| * |W|).  The pair with the
+    most homs is checked against ``limit`` before any pair is enumerated.
     """
     fn = fn if fn is not None else CircleFunction.spike(p)
     if ring is None:
         ring = fn.ring if fn.kind == "table" else spike_ring(p)
     groups = enumerate_groups(p, max_order)
+    _require_hom_budget(itertools.product(groups, repeat=2), limit)
     report = VerifyReport("verify-naturality",
                           {"p": p, "max_order": max_order, "alpha": fn.label()})
     for V in groups:
@@ -323,8 +326,8 @@ def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None
     ``limit`` bounds each unit of brute-force work.  BudgetExceeded is raised
     before any matrix is built when n^3 * phi(M), for the largest group order
     n and the conductor M of the entries' ring (phi = 1 for the integer spike
-    values), exceeds it; the naturality part enumerates at most ``limit``
-    homs per group pair, as in ``naturality_sweep``.
+    values), exceeds it, or when the naturality part would enumerate more
+    than ``limit`` homs for some group pair, as in ``naturality_sweep``.
     """
     fn = fn if fn is not None else CircleFunction.spike(p)
     if ring is None:
@@ -334,6 +337,9 @@ def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None
     if n ** 3 * ring.degree > limit:
         raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{ring.conductor}] "
                              f"exceed the bound {limit}")
+    if hom_order_bound:
+        _require_hom_budget(itertools.product(
+            enumerate_groups(p, min(hom_order_bound, max_order)), repeat=2), limit)
     report = VerifyReport("verify-iso",
                           {"p": p, "max_order": max_order, "alpha": fn.label(),
                            "hom_order_bound": hom_order_bound,

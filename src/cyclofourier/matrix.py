@@ -58,15 +58,16 @@ zero multipliers:
 Fraction-free Bareiss over Z[zeta_M] (``_bareiss_vec``), dense, is kept
 as a test oracle: there, multiplying by x is the phi x phi integer matrix
 ``_mult_rows(x)`` whose column j is x * zeta^j, and dividing by the
-previous pivot is multiplying by its adjugate (the product of its
-nontrivial Galois conjugates) and dividing exactly by its integer norm.
+previous pivot is multiplying by its adjugate and dividing exactly by its
+integer norm, both from ``exactring._adjugate_norm`` (the product of the
+nontrivial Galois conjugates, which ``norm`` and ``inverse`` share).
 
 Over Z/m, and as a cross-check oracle everywhere, a division-free
 expansion over column subsets is used (exponential, fine at the small
-sizes where it is applied).  Over Z/m the expansion runs on the residues
-as plain ints, one minor per column subset in a list indexed by the
-subset's mask, each reduced mod m; over a cyclotomic ring it runs on the
-ring elements.
+sizes where it is applied).  One bottom-up loop serves both rings: one
+minor per column subset, in a list indexed by the subset's mask.  Over
+Z/m the minors are the residues as plain ints, each reduced mod m; over
+a cyclotomic ring they are the ring elements.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .exactring import CycloElem, CycloRing, ModRing, _is_prime, cyclotomic_polynomial
+from .exactring import (CycloElem, CycloRing, ModRing, _adjugate_norm, _is_prime,
+                        cyclotomic_polynomial)
 
 
 class RingMatrix:
@@ -140,51 +142,20 @@ def determinant(mat: RingMatrix):
 
 
 def determinant_expansion(mat: RingMatrix):
-    """Division-free determinant by memoized expansion over column subsets."""
+    """Division-free determinant by expansion over column subsets, bottom-up.
+
+    minors[mask] is the minor of rows popcount(mask).. on the columns outside
+    mask; a mask only reads larger masks, so descending order fills the list.
+    """
     if mat.rows != mat.cols:
         raise ValueError("determinant of a non-square matrix")
     n = mat.rows
     ring = mat.ring
-    if n == 0:
-        return ring.one
-    rows = [mat.row(i) for i in range(n)]
-    if isinstance(ring, ModRing):
-        return ring.element(_expansion_mod([[e.value for e in row] for row in rows],
-                                           ring.modulus))
-    memo = {}
-
-    def minor(mask: int):
-        if mask == (1 << n) - 1:
-            return ring.one
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        r = bin(mask).count("1")
-        acc = ring.zero
-        sign = 1
-        for j in range(n):
-            if mask & (1 << j):
-                continue
-            term = rows[r][j] * minor(mask | (1 << j))
-            acc = acc + term if sign > 0 else acc - term
-            sign = -sign
-        memo[mask] = acc
-        return acc
-
-    return minor(0)
-
-
-def _expansion_mod(rows: list[list[int]], m: int) -> int:
-    """The same expansion on residues as ints, bottom-up over a mask-indexed list.
-
-    minors[mask] is the minor of rows popcount(mask).. on the columns outside
-    mask, reduced mod m; a mask only reads larger masks, so descending order
-    fills the list.
-    """
-    n = len(rows)
+    m = ring.modulus if isinstance(ring, ModRing) else None
+    rows = [mat.row(i) if m is None else [e.value for e in mat.row(i)] for i in range(n)]
     full = (1 << n) - 1
     minors = [0] * (full + 1)
-    minors[full] = 1
+    minors[full] = ring.one if m is None else 1
     by_bit = [{1 << j: c for j, c in enumerate(row)} for row in rows]
     for mask in range(full - 1, -1, -1):
         row = by_bit[mask.bit_count()]
@@ -197,8 +168,8 @@ def _expansion_mod(rows: list[list[int]], m: int) -> int:
             acc = acc - term if negate else acc + term
             negate = not negate
             free ^= low
-        minors[mask] = acc % m
-    return minors[0]
+        minors[mask] = acc if m is None else acc % m
+    return minors[0] if m is None else ring.element(minors[0])
 
 
 # -- determinants over Z[zeta_M], denominators cleared -------------------
@@ -468,26 +439,10 @@ def _vec_mul(a: list[int], b: list[int], ring: CycloRing) -> list[int]:
     return [sum(map(mul, row, b)) for row in _mult_rows(a, ring)]
 
 
-def _vec_conjugate(vec: list[int], t: int, ring: CycloRing) -> list[int]:
-    M = ring.conductor
-    out = [0] * M
-    for i, c in enumerate(vec):
-        if c:
-            out[(i * t) % M] += c
-    return ring.reduce_vector(out)
-
-
 def _vec_adjugate_norm(vec: list[int], ring: CycloRing) -> tuple[list[int], int]:
     """Product of the nontrivial conjugates of vec, and the integer norm."""
-    M = ring.conductor
-    adj = [1] + [0] * (ring.degree - 1)
-    for t in range(2, M):
-        if math.gcd(t, M) == 1:
-            adj = _vec_mul(adj, _vec_conjugate(vec, t, ring), ring)
-    full = _vec_mul(adj, vec, ring)
-    if any(full[1:]):
-        raise ArithmeticError("norm left the scalar subring; arithmetic bug")
-    return adj, full[0]
+    adj, n = _adjugate_norm(CycloElem(ring, vec, 0))
+    return list(adj.nums), n.numerator
 
 
 def _bareiss_vec(m: list[list[list[int]]], ring: CycloRing) -> list[int]:

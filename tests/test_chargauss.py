@@ -184,6 +184,23 @@ def test_one_norm_per_character_matches_a_norm_per_twisted_sum(p, r):
     assert all(ok for _, ok, _ in oracle) and (len(oracle) > 0) == (p ** r > 2)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_lower_level_sum_matches_a_ring_sum_over_the_lower_units(p):
+    # G(chi, eps_u') at level p^(r-1) = sum over its units t of chi(t) zeta^(u' t M/p^(r-1))
+    for r in range(1, 4):
+        ring = standard_ring(p, r)
+        N_low = p ** (r - 1)
+        scale = ring.conductor // N_low
+        for chi in enumerate_characters(p, r, ring):
+            if is_primitive(chi):
+                continue
+            for u_prime in range(N_low):
+                expected = ring.zero
+                for t in units_mod(N_low):
+                    expected = expected + chi.eval(t) * ring.zeta(u_prime * t * scale)
+                assert chargauss._gauss_sum_lower(chi, u_prime) == expected, (chi, u_prime)
+
+
 def test_unit_flag_of_the_base_sum_is_consulted(monkeypatch):
     monkeypatch.setattr(chargauss, "is_unit", lambda x: False)
     for p, r in ((2, 3), (3, 2), (5, 1)):

@@ -217,7 +217,6 @@ def test_every_budgeted_entry_point_defaults_to_the_one_budget():
     # identity, so that a default written as its own 10 ** 7 literal fails
     for fn, name in entry_points:
         assert inspect.signature(fn).parameters[name].default is DEFAULT_BUDGET, fn
-    assert cli.RunConfig("verify-iso").budget is DEFAULT_BUDGET
     args = cli.build_parser().parse_args(["diag", "--modulus", "5", "--n", "4"])
     assert args.budget is DEFAULT_BUDGET
 
@@ -258,6 +257,40 @@ def test_naturality_respects_the_budget(capsys, monkeypatch):
         monkeypatch.setenv("CYCLO_BUDGET", "512")
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and json.loads(out)["failed"] == 0
+
+
+def test_naturality_budget_is_checked_before_any_enumeration(capsys, monkeypatch):
+    # Up to order 16 the largest pair, 2+2+2+2 -> 2+2+2+2, has 2^16 homs; smaller pairs fit.
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("homs enumerated before the budget check")
+
+    def no_matrix(*args, **kwargs):
+        raise AssertionError("matrix built before the budget check")
+
+    monkeypatch.setattr(isoverify, "enumerate_homs", no_enumeration)
+    monkeypatch.setattr(isoverify, "transform_matrix", no_matrix)
+    monkeypatch.setenv("CYCLO_BUDGET", "65535")
+    for argv in (("verify", "naturality", "--p", "2", "--max-order", "16"),
+                 ("verify", "iso", "--p", "2", "--max-order", "16",
+                  "--natural-max-order", "16")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == ("budget exceeded: 65536 homomorphisms 2+2+2+2 -> 2+2+2+2 "
+                       "exceed the bound 65535\n")
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The 273 KB report outgrows a pipe buffer, so writing it meets the closed pipe.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-m", "cyclofourier.cli", "verify", "gauss",
+                           "--p", "2", "--max-r", "5"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
 
 
 def test_internal_errors_exit_four(capsys, monkeypatch):

@@ -207,6 +207,18 @@ def test_equal_values_with_different_denominators_keep_the_eq_hash_contract(ring
         assert {x: "x"}[y] == "x"
 
 
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.sampled_from([1, 4, 9, 12, 18, 105]), st.data())
+def test_zeta_sum_equals_the_ring_sum_of_zeta_powers(M, data):
+    # negative exponents, exponents >= M, repeats, and the empty list
+    exponents = data.draw(st.lists(st.integers(-3 * M, 3 * M), max_size=3 * M))
+    ring = get_ring(M, 3)
+    expected = ring.zero
+    for e in exponents:
+        expected = expected + ring.zeta(e)
+    assert ring.zeta_sum(exponents) == expected
+
+
 def test_zeta_power_examples():
     ring = get_ring(4, 2)
     assert ring.zeta(2) == ring.from_int(-1)

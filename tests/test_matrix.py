@@ -31,6 +31,10 @@ def test_identity_and_small_examples():
     m = RingMatrix.from_rows(mring, [[mring.element(1), mring.element(1)],
                                      [mring.element(1), mring.element(2)]])
     assert determinant(m) == mring.one
+    # the expansion on 0x0 and 1x1 matrices, over both kinds of ring
+    for ring, x in ((mring, mring.element(5)), (get_ring(9, 3), get_ring(9, 3).zeta(4) - 2)):
+        assert determinant_expansion(RingMatrix(ring, 0, 0, [])) == ring.one
+        assert determinant_expansion(RingMatrix(ring, 1, 1, [x])) == x
 
 
 def test_bareiss_matches_expansion_and_sympy_on_integers():
