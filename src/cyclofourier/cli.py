@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
+from typing import Callable, TextIO
 
 from .chargauss import check_gauss_identities, enumerate_characters, gauss_sum, standard_ring
 from .diagonalize import (SplitVerificationError, decide_diag_cyclic, decide_diag_group,
@@ -63,20 +63,28 @@ def _budget_from_env(default: int = DEFAULT_BUDGET) -> int:
     return _int_at_least("CYCLO_BUDGET", raw)
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                fh.write("\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
-    else:
-        print(text)
+def _emit(render: Callable[[TextIO], object], output: str | None, end: str = "\n") -> None:
+    """render(stream) on the --output file, or on stdout, then end written after it.
+
+    The file is opened only here, after the caller has computed all it
+    renders, so a run that stops before (exit 2, 3 or 4) creates no file.
+    """
+    if not output:
+        render(sys.stdout)
+        sys.stdout.write(end)
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            render(fh)
+            fh.write(end)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
 
 
 def _emit_report(report: VerifyReport, fmt: str, output: str | None) -> int:
-    _emit(report.to_json() if fmt == "json" else report.to_text(), output)
+    """Write the report check by check; neither the checks' texts nor the whole is kept."""
+    render = report.to_json if fmt == "json" else report.to_text
+    _emit(lambda out: render(out.write), output)
     return 0 if report.failed == 0 else 1
 
 
@@ -89,9 +97,10 @@ def _alpha_from_name(name: str, p: int) -> CircleFunction:
 def cmd_phi(args) -> int:
     poly = cyclotomic_polynomial(_int_at_least("--n", args.n))
     if args.format == "json":
-        _emit(json.dumps([str(c) for c in poly.coeffs]), args.output)
+        text = json.dumps([str(c) for c in poly.coeffs])
     else:
-        _emit(poly.pretty(), args.output)
+        text = poly.pretty()
+    _emit(lambda out: out.write(text), args.output)
     return 0
 
 
@@ -145,8 +154,12 @@ def cmd_diag(args) -> int:
         split = vandermonde_iso(n, m, verdict.witness, budget=budget)
         payload["points"] = list(split.points)
         payload["matrix"] = split.matrix.to_json()
-    _emit(json.dumps(payload), args.output)
+    text = json.dumps(payload)
+    _emit(lambda out: out.write(text), args.output)
     return 0
+
+
+_TABLE_FIELDS = ("N", "chi_exponents", "u", "sum_coeffs", "is_unit")
 
 
 def cmd_gauss_table(args) -> int:
@@ -167,28 +180,30 @@ def cmd_gauss_table(args) -> int:
         for chi in enumerate_characters(p, r, ring):
             base = gauss_sum(chi, u=1)
             base_unit = is_unit(base)
+            exponents = ";".join(map(str, chi.exponents))
             for u in range(N):
                 value = gauss_sum(chi, u=u)
                 if u % p and value == chi.eval(pow(u, -1, N)) * base:
                     unit = base_unit
                 else:
                     unit = is_unit(value)
-                rows.append({
-                    "N": N,
-                    "chi_exponents": ";".join(map(str, chi.exponents)),
-                    "u": u,
-                    "sum_coeffs": ";".join(value.coeff_strings()),
-                    "is_unit": unit,
-                })
+                rows.append((N, exponents, u, ";".join(value.coeff_strings()), unit))
     if args.format == "json":
-        _emit(_render(rows, ""), args.output)
+        def render(out: TextIO) -> None:
+            opening, closing = "[\n  ", "[]"
+            for row in rows:
+                out.write(opening + _render(dict(zip(_TABLE_FIELDS, row)), "  "))
+                opening, closing = ",\n  ", "\n]"
+            out.write(closing)
+
+        _emit(render, args.output)
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["N", "chi_exponents", "u",
-                                                 "sum_coeffs", "is_unit"])
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(buf.getvalue().rstrip("\n"), args.output)
+        def render(out: TextIO) -> None:
+            writer = csv.writer(out)
+            writer.writerow(_TABLE_FIELDS)
+            writer.writerows(rows)
+
+        _emit(render, args.output, end="")  # the writer ends each row with \r\n
     return 0
 
 

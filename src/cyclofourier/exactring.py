@@ -158,9 +158,12 @@ class LocalizedInt:
         return self.numerator != 0
 
     def __eq__(self, other):
-        if isinstance(other, (LocalizedInt, int)):
-            o = self._coerce(other)
-            return (self.numerator, self.denom_exp) == (o.numerator, o.denom_exp)
+        """Values of Z[1/p] for different p are unequal; only arithmetic mixing them raises."""
+        if isinstance(other, LocalizedInt):
+            return (self.numerator, self.denom_exp, self.prime) == (
+                other.numerator, other.denom_exp, other.prime)
+        if isinstance(other, int):
+            return self.denom_exp == 0 and self.numerator == other
         return NotImplemented
 
     def __hash__(self):
@@ -431,6 +434,24 @@ def get_ring(conductor: int, prime: int) -> CycloRing:
     return CycloRing(conductor, prime)
 
 
+class _IntStrings(dict):
+    """str(n) by n: stored for |n| <= _SHARED_INT_BOUND, made afresh and not kept otherwise."""
+
+    __slots__ = ()
+
+    def __missing__(self, n: int) -> str:
+        return str(n)
+
+
+# Gauss sums have small coefficients (at most 162 in absolute value for
+# every p^r up to 3^5 and 2^7), so a report of thousands of them holds one
+# string per distinct value rather than one per coefficient.
+# sys.intern is not used: on some CPython versions interned strings are
+# immortal and would outlive the report.
+_SHARED_INT_BOUND = 256
+_INT_STRINGS = _IntStrings((n, str(n)) for n in range(-_SHARED_INT_BOUND, _SHARED_INT_BOUND + 1))
+
+
 class CycloElem:
     """Element of a CycloRing: (sum of nums[i] * zeta^i) / p^exp."""
 
@@ -460,9 +481,14 @@ class CycloElem:
         return tuple(LocalizedInt(n, self.exp, p) for n in self.nums)
 
     def coeff_strings(self) -> list[str]:
-        """str of each coefficient in ``coeffs``; integral values skip the LocalizedInt."""
+        """A new list of str of each coefficient in ``coeffs``.
+
+        Integral values skip the LocalizedInt, and a small one takes its
+        string from ``_INT_STRINGS``, so equal small coefficients share one
+        string object across every list handed out.
+        """
         if self.exp == 0:
-            return list(map(str, self.nums))
+            return list(map(_INT_STRINGS.__getitem__, self.nums))
         return [str(c) for c in self.coeffs]
 
     def is_scalar(self) -> bool:

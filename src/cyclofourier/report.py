@@ -11,6 +11,15 @@ pure-Python encoder; ``_render`` writes the same bytes directly, escaping
 strings with json's C function ``encode_basestring_ascii``, and a list of
 strings in one join.  Values reports do not carry (floats, dicts with
 non-``str`` keys) are handed to ``json.dumps`` itself and re-indented.
+
+``VerifyReport.to_json`` and ``to_text`` are the one renderer of their
+format.  Given a ``write`` function, each passes it the text in chunks,
+the envelope, then one check at a time, then the counts, and returns
+None, so neither a list of per-check texts nor the joined text is ever
+built; without one, each returns the joined text.  Rendering starts only
+after every check is computed: the CLI opens ``--output`` when it renders,
+so a run that exits 2, 3 or 4 creates no file and prints nothing on
+stdout, and an unwritable ``--output`` still exits 2 with the same message.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 # The one default bound on brute-force work: every budgeted entry point
@@ -115,23 +124,39 @@ class VerifyReport:
             "failed": self.failed,
         }
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_json_dict(), indent=2)``, written without the dicts."""
-        ind = " " * 6  # the indent of a check's fields
-        checks = ",\n    ".join([
-            f'{{\n{ind}"id": {_render(c.id, ind)},\n{ind}"subject": {_render(c.subject, ind)},'
-            f'\n{ind}"pass": {_render(c.passed, ind)},\n{ind}"witness": {_render(c.witness, ind)}'
-            '\n    }' for c in self.checks])
-        checks = f"[\n    {checks}\n  ]" if checks else "[]"
-        return (f'{{\n  "command": {_render(self.command, "  ")},'
-                f'\n  "params": {_render(self.params, "  ")},\n  "checks": {checks},'
-                f'\n  "passed": {self.passed},\n  "failed": {self.failed}\n}}')
+    def to_json(self, write: Callable[[str], object] | None = None) -> str | None:
+        """``json.dumps(self.to_json_dict(), indent=2)``, written without the dicts.
 
-    def to_text(self) -> str:
-        lines = []
+        Given write, passes it the text in chunks (the envelope, each check,
+        the counts) and returns None; without, returns the joined text.
+        """
+        if write is None:
+            chunks: list[str] = []
+            self.to_json(chunks.append)
+            return "".join(chunks)
+        write(f'{{\n  "command": {_render(self.command, "  ")},'
+              f'\n  "params": {_render(self.params, "  ")},\n  "checks": ')
+        ind = " " * 6  # the indent of a check's fields
+        opening, closing = "[\n    ", "[]"
+        for c in self.checks:
+            write(f'{opening}{{\n{ind}"id": {_render(c.id, ind)},'
+                  f'\n{ind}"subject": {_render(c.subject, ind)},'
+                  f'\n{ind}"pass": {_render(c.passed, ind)},'
+                  f'\n{ind}"witness": {_render(c.witness, ind)}\n    }}')
+            opening, closing = ",\n    ", "\n  ]"
+        write(f'{closing},'
+              f'\n  "passed": {self.passed},\n  "failed": {self.failed}\n}}')
+        return None
+
+    def to_text(self, write: Callable[[str], object] | None = None) -> str | None:
+        """One ``[PASS]``/``[FAIL]`` line per check, then the counts; chunked as ``to_json``."""
+        if write is None:
+            chunks: list[str] = []
+            self.to_text(chunks.append)
+            return "".join(chunks)
         for c in self.checks:
             mark = "PASS" if c.passed else "FAIL"
             suffix = "" if c.witness is None else f"  {c.witness}"
-            lines.append(f"[{mark}] {c.id}: {c.subject}{suffix}")
-        lines.append(f"passed={self.passed} failed={self.failed}")
-        return "\n".join(lines)
+            write(f"[{mark}] {c.id}: {c.subject}{suffix}\n")
+        write(f"passed={self.passed} failed={self.failed}")
+        return None

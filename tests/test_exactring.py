@@ -207,6 +207,40 @@ def test_equal_values_with_different_denominators_keep_the_eq_hash_contract(ring
         assert {x: "x"}[y] == "x"
 
 
+def test_localized_ints_over_different_primes_are_unequal_but_hashable_together():
+    # both hash to hash(5), so a set or dict compares them with ==
+    two, three = LocalizedInt(5, 0, 2), LocalizedInt(5, 0, 3)
+    assert hash(two) == hash(three) == hash(5)
+    assert two != three and not three == two
+    assert len({two, three}) == 2 and {two: "two"}.get(three) is None
+    assert two == 5 and three == 5 and LocalizedInt(1, 1, 2) != LocalizedInt(1, 1, 3)
+    for mixed in (lambda: two + three, lambda: two * three, lambda: two - three):
+        with pytest.raises(ValueError, match="mixed inverted primes"):
+            mixed()
+
+
+def test_coeff_strings_is_a_new_list_of_the_coefficient_strings():
+    from cyclofourier.exactring import _SHARED_INT_BOUND as K
+    ring = get_ring(9, 3)
+    ints = [-K - 1, -K, K, K + 1, 10 ** 40, -9]
+    fractions = [LocalizedInt(n, 2, 3) for n in ints[:-1]] + [LocalizedInt(9, 2, 3)]
+    for x in (ring.element(ints), ring.element(fractions)):
+        first = x.coeff_strings()
+        assert first == [str(c) for c in x.coeffs]
+        first.clear()
+        second = x.coeff_strings()
+        assert second is not first and second == [str(c) for c in x.coeffs]
+    assert ring.element(fractions).coeff_strings()[:2] == [f"{-K - 1}/3^2", f"{-K}/3^2"]
+    assert ring.element(fractions).coeff_strings()[-1] == "1"
+
+
+def test_equal_small_coefficients_share_one_string():
+    ring = get_ring(9, 3)
+    a = ring.element([42, -42, 42, 7, -42, 0]).coeff_strings()
+    b = ring.element([0, 42, 0, 0, 0, -42]).coeff_strings()
+    assert a[0] is a[2] is b[1] and a[1] is a[4] is b[5]
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(st.sampled_from([1, 4, 9, 12, 18, 105]), st.data())
 def test_zeta_sum_equals_the_ring_sum_of_zeta_powers(M, data):

@@ -1,12 +1,14 @@
 """Report rendering: byte for byte against ``json.dumps(indent=2)``, the oracle."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclofourier import cli
+from cyclofourier.chargauss import check_gauss_identities
 from cyclofourier.report import CheckEntry, VerifyReport, _render
 
 _SPECIAL_CHARS = '"\\/\n\r\t\b\f\x00\x1f\x7f\x80\xe9\u2028\ufeff\ud800\U0001d11e'
@@ -25,6 +27,16 @@ _values = st.recursive(
     max_leaves=25)
 
 
+def _reference_to_text(report):
+    lines = []
+    for c in report.checks:
+        mark = "PASS" if c.passed else "FAIL"
+        suffix = "" if c.witness is None else f"  {c.witness}"
+        lines.append(f"[{mark}] {c.id}: {c.subject}{suffix}")
+    lines.append(f"passed={report.passed} failed={report.failed}")
+    return "\n".join(lines)
+
+
 @settings(max_examples=200, deadline=None, database=None)
 @given(_values)
 def test_render_matches_json_dumps_with_indent(value):
@@ -37,6 +49,12 @@ def test_render_matches_json_dumps_with_indent(value):
 def test_report_to_json_matches_the_oracle_on_any_witness(checks, params):
     report = VerifyReport("demo", params, [CheckEntry(*c) for c in checks])
     assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+    assert report.to_text() == _reference_to_text(report)
+    for render, whole in ((report.to_json, report.to_json()), (report.to_text, report.to_text())):
+        chunks = []
+        assert render(chunks.append) is None
+        assert "".join(chunks) == whole
+        assert len(chunks) == len(report.checks) + (2 if render == report.to_json else 1)
 
 
 def test_render_rejects_what_json_rejects():
@@ -53,6 +71,7 @@ def test_render_rejects_what_json_rejects():
     ("verify", "naturality", "--p", "2", "--max-order", "8"),
     ("verify", "fourier", "--p", "2", "--max-order", "16"),
     ("verify", "criterion-oracle", "--p", "2", "--r", "2", "--samples", "5"),
+    ("verify", "gauss", "--p", "3", "--max-r", "2", "--format", "text"),
 ])
 def test_cli_reports_match_the_oracle(capsys, monkeypatch, argv):
     reports = []
@@ -67,6 +86,9 @@ def test_cli_reports_match_the_oracle(capsys, monkeypatch, argv):
     out = capsys.readouterr().out
     (report,) = reports
     assert report.checks
+    if "text" in argv:
+        assert out == _reference_to_text(report) + "\n"
+        return
     assert out == report.to_json() + "\n"
     assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
 
@@ -75,3 +97,36 @@ def test_report_without_checks_matches_the_oracle():
     for params in ({}, {"p": 2, "nested": {"k": [1, "a", None]}}):
         report = VerifyReport("verify-empty", params)
         assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+        assert report.to_text() == _reference_to_text(report) == "passed=0 failed=0"
+
+
+# Memory: a report holds its checks, not their text.  Measured on CPython
+# 3.11, check_gauss_identities(3, 4) keeps 4.4 MB (17 MB with one string
+# per coefficient), and writing the 1.7 MB report below peaks at about
+# 24 KB; the bounds leave room for other versions' object sizes.
+
+def test_a_gauss_report_keeps_one_string_per_distinct_coefficient():
+    tracemalloc.start()
+    try:
+        report = check_gauss_identities(3, 4)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.checks) == 4374 and report.all_passed
+    assert kept < 8 * 2 ** 20
+
+
+def test_writing_a_report_peaks_far_below_its_size(tmp_path):
+    report = VerifyReport("verify-gauss", {"p": 2, "max_r": 6})
+    for level in range(1, 7):
+        report.extend(check_gauss_identities(2, level).checks)
+    path = tmp_path / "gauss.json"
+    tracemalloc.start()
+    try:
+        assert cli._emit_report(report, "json", str(path)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 1_600_000 and peak < size / 4
+    assert path.read_text(encoding="utf-8") == report.to_json() + "\n"
