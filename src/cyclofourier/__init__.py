@@ -2,10 +2,9 @@
 group algebras, Gauss-sum identities, invertibility of pairing-evaluation
 transforms, and diagonalizability of group algebras over finite rings."""
 
-from .exactring import (CycloElem, CycloRing, IntPolynomial, LocalizedInt, ModElem,
-                        ModRing, NotAUnitError, cyclotomic_polynomial, euler_phi,
-                        galois_conjugate, get_ring, inverse, is_unit, lift_conductor,
-                        norm)
+from .exactring import (CycloElem, CycloRing, IntPolynomial, LocalizedInt, ModRing,
+                        NotAUnitError, cyclotomic_polynomial, euler_phi, galois_conjugate,
+                        get_ring, inverse, is_unit, lift_conductor, norm)
 from .finab import (DualElem, FinAbGroup, GroupElem, GroupHom, PadicCircle,
                     circle_points, compose, dual_elements, dual_hom, element_index,
                     elements, enumerate_groups, enumerate_homs, hom_count,

@@ -17,14 +17,14 @@ from .exactring import (CycloElem, CycloRing, euler_phi, get_ring, is_unit)
 from .report import VerifyReport
 
 
-def standard_ring(p: int, r: int) -> CycloRing:
-    """Smallest-conductor ring holding all character and root-of-unity values mod p^r.
+def _standard_conductor(p: int, r: int) -> int:
+    """p^r * (p - 1) for odd p, max(p^r, 4) for p = 2."""
+    return max(2 ** r, 4) if p == 2 else p ** r * (p - 1)
 
-    Conductor p^r * (p - 1) for odd p, max(p^r, 4) for p = 2.
-    """
-    if p == 2:
-        return get_ring(max(2 ** r, 4), 2)
-    return get_ring(p ** r * (p - 1), p)
+
+def standard_ring(p: int, r: int) -> CycloRing:
+    """Smallest-conductor ring holding all character and root-of-unity values mod p^r."""
+    return get_ring(_standard_conductor(p, r), p)
 
 
 class UnitGroupStructure:
@@ -185,25 +185,11 @@ def is_primitive(chi: Character) -> bool:
     return chi.value_exponent(1 + p ** (r - 1)) != 0
 
 
-def gauss_sum(chi: Character, u: int | None = None,
-              tau: Sequence[CycloElem] | None = None) -> CycloElem:
-    """G_N(chi, tau) = sum over units t of chi(t) * tau(t).
-
-    Either ``u`` selects the additive character t -> zeta_N^(u t), or
-    ``tau`` gives explicit root-of-unity values indexed by Z/N.
-    """
+def gauss_sum(chi: Character, u: int) -> CycloElem:
+    """G_N(chi, eps_u) = sum over units t of chi(t) * zeta_N^(u t)."""
     ring = chi.ring
     N = chi.modulus
     M = ring.conductor
-    if (u is None) == (tau is None):
-        raise ValueError("give exactly one of u or tau")
-    if tau is not None:
-        if len(tau) != N:
-            raise ValueError("tau must have one value per residue mod N")
-        acc = ring.zero
-        for t in units_mod(N):
-            acc = acc + chi.eval(t) * tau[t % N]
-        return acc
     if M % N:
         raise ValueError(f"conductor {M} does not contain the {N}-th roots of unity")
     scale = M // N

@@ -20,8 +20,8 @@ import sys
 from typing import Callable, TextIO
 
 from .chargauss import check_gauss_identities, enumerate_characters, gauss_sum, standard_ring
-from .diagonalize import (SplitVerificationError, decide_diag_cyclic, decide_diag_group,
-                          vandermonde_iso)
+from .diagonalize import (SplitVerificationError, _require_cyclotomic_budget,
+                          decide_diag_cyclic, decide_diag_group, vandermonde_iso)
 from .exactring import _is_prime, cyclotomic_polynomial, is_unit
 from .groupalgebra import fourier_inversion_report
 from .isoverify import (CircleFunction, criterion_vs_determinant, natural_iso_sweep,
@@ -50,17 +50,36 @@ def _int_at_least(name: str, raw, low: int = 1) -> int:
 
 
 def _prime(name: str, value: int) -> int:
-    """value if it is a prime; anything else is a usage error."""
-    if not _is_prime(value):
+    """value if it is a proven prime; anything else is a usage error."""
+    try:
+        prime = _is_prime(value)
+    except ValueError as exc:  # past the range where primality is proven
+        raise UsageError(f"{name} must be a prime, got {value!r}: {exc}") from None
+    if not prime:
         raise UsageError(f"{name} must be a prime, got {value!r}")
     return value
 
 
-def _budget_from_env(default: int = DEFAULT_BUDGET) -> int:
+def _budget_from_env() -> int:
+    """CYCLO_BUDGET, the one budget of every command; DEFAULT_BUDGET when it is unset."""
     raw = os.environ.get("CYCLO_BUDGET")
-    if raw is None:
-        return _int_at_least("--budget", default)
-    return _int_at_least("CYCLO_BUDGET", raw)
+    return DEFAULT_BUDGET if raw is None else _int_at_least("CYCLO_BUDGET", raw)
+
+
+def _require_gauss_budget(p: int, max_r: int, budget: int) -> None:
+    """BudgetExceeded unless the Gauss sums of levels 1..max_r have at most budget terms.
+
+    Level r has N phi(N) sums G(chi, eps_u), one per character and shift
+    u mod N = p^r, of phi(N) terms each.  The levels are counted up to the
+    first one past the budget, so a huge --p or --max-r costs nothing.
+    """
+    terms = 0
+    for r in range(1, max_r + 1):
+        N = p ** r
+        terms += N * (N - N // p) ** 2
+        if terms > budget:
+            raise BudgetExceeded(f"Gauss sums of p = {p} up to level {max_r}: {terms} terms "
+                                 f"by level {r} exceed the bound {budget}")
 
 
 def _emit(render: Callable[[TextIO], object], output: str | None, end: str = "\n") -> None:
@@ -95,7 +114,9 @@ def _alpha_from_name(name: str, p: int) -> CircleFunction:
 
 
 def cmd_phi(args) -> int:
-    poly = cyclotomic_polynomial(_int_at_least("--n", args.n))
+    n = _int_at_least("--n", args.n)
+    _require_cyclotomic_budget(n, _budget_from_env())
+    poly = cyclotomic_polynomial(n)
     if args.format == "json":
         text = json.dumps([str(c) for c in poly.coeffs])
     else:
@@ -116,6 +137,7 @@ def cmd_verify(args) -> int:
     if args.what == "fourier":
         report = fourier_inversion_report(p, max_order, limit=budget)
     elif args.what == "gauss":
+        _require_gauss_budget(p, max_r, budget)
         report = VerifyReport("verify-gauss", {"p": p, "max_r": max_r})
         for level in range(1, max_r + 1):
             report.extend(check_gauss_identities(p, level).checks)
@@ -140,7 +162,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    budget = _budget_from_env(args.budget)
+    budget = _budget_from_env()
     m = _int_at_least("--modulus", args.modulus, low=2)
     if args.group is not None:
         orders = [_int_at_least("--group", tok) for tok in args.group.split(",") if tok]
@@ -172,7 +194,7 @@ def cmd_gauss_table(args) -> int:
     row (p | u, or an identity that fails) takes ``is_unit`` of its own value.
     """
     p = _prime("--p", args.p)
-    _int_at_least("--max-r", args.max_r)
+    _require_gauss_budget(p, _int_at_least("--max-r", args.max_r), _budget_from_env())
     rows = []
     for r in range(1, args.max_r + 1):
         N = p ** r
@@ -244,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n", type=int)
     group.add_argument("--group", help="comma-separated cyclic orders, e.g. 2,2")
     p_diag.add_argument("--emit-iso", action="store_true")
-    p_diag.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_diag.add_argument("--output")
     p_diag.set_defaults(func=cmd_diag)
 

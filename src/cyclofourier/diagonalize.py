@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .exactring import ModRing, cyclotomic_polynomial
+from .exactring import ModRing, _convolve, cyclotomic_polynomial
 from .matrix import RingMatrix, determinant
 from .report import DEFAULT_BUDGET, BudgetExceeded
 
@@ -33,11 +33,26 @@ class DiagVerdict:
         return {"decision": False, "reason": self.reason}
 
 
+def _require_cyclotomic_budget(n: int, budget: int) -> None:
+    """BudgetExceeded when 5 n^2, a bound on the steps of cyclotomic_polynomial(n), exceeds budget.
+
+    Each Phi_d, d | n, writes the d + 1 coefficients of X^d - 1 and divides
+    them by Phi_e for the proper divisors e of d, at most (d + 1)(phi(e) + 1)
+    steps each; as sum_(e | d, e < d) (phi(e) + 1) = d - phi(d) + tau(d) - 1
+    <= 2d - 2, Phi_d takes at most (d + 1)(2d - 1) <= 3 d^2 steps, and all of
+    them at most 3 sum_(d | n) d^2 < 3 (pi^2 / 6) n^2 < 5 n^2.
+    """
+    if 5 * n * n > budget:
+        raise BudgetExceeded(f"building Phi_{n} ({5 * n * n} steps) exceeds the budget {budget}")
+
+
 def decide_diag_cyclic(n: int, m: int, budget: int = DEFAULT_BUDGET) -> DiagVerdict:
     """Does the algebra of Z/n over Z/m split completely?
 
     True iff n is invertible mod m and the n-th cyclotomic polynomial has
-    a root mod m; the root search is exhaustive over Z/m.
+    a root mod m; the root search is exhaustive over Z/m.  BudgetExceeded
+    is raised before Phi_n is built when its 5 n^2 steps exceed ``budget``,
+    and before the search when m * phi(n) does.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -45,6 +60,7 @@ def decide_diag_cyclic(n: int, m: int, budget: int = DEFAULT_BUDGET) -> DiagVerd
         raise ValueError("modulus must be >= 2")
     if math.gcd(n, m) != 1:
         return DiagVerdict(False, None, REASON_NOT_INVERTIBLE)
+    _require_cyclotomic_budget(n, budget)
     poly = cyclotomic_polynomial(n)
     if m * max(poly.degree, 1) > budget:
         raise BudgetExceeded(f"root search over Z/{m} exceeds the budget")
@@ -85,13 +101,12 @@ def vandermonde_iso(n: int, m: int, xi: int, budget: int = DEFAULT_BUDGET) -> Va
     if n >= budget.bit_length() or n << n > budget:
         raise BudgetExceeded(f"determinant expansion of size {n} ({n} * 2^{n} steps) "
                              f"exceeds the budget {budget}")
-    ring = ModRing(m)
     powers = tuple(pow(xi, i, m) for i in range(n))
-    entries = [ring.element(pow(xi, i * j, m)) for i in range(n) for j in range(n)]
-    mat = RingMatrix(ring, n, n, entries)
+    entries = [pow(xi, i * j, m) for i in range(n) for j in range(n)]
+    mat = RingMatrix(ModRing(m), n, n, entries)
     det = determinant(mat)
-    if not det.is_unit():
-        raise SplitVerificationError(f"Vandermonde determinant {det.value} not a unit mod {m}")
+    if math.gcd(det, m) != 1:
+        raise SplitVerificationError(f"Vandermonde determinant {det} not a unit mod {m}")
     for i in range(n):
         for j in range(i + 1, n):
             if math.gcd((powers[i] - powers[j]) % m, m) != 1:
@@ -99,19 +114,14 @@ def vandermonde_iso(n: int, m: int, xi: int, budget: int = DEFAULT_BUDGET) -> Va
                     f"xi^{i} - xi^{j} is not a unit mod {m}")
     # exact factorization X^n - 1 = prod (X - xi^i) mod m
     prod = [1]
-    for i in range(n):
-        a = powers[i] % m
-        nxt = [0] * (len(prod) + 1)
-        for k, c in enumerate(prod):
-            nxt[k] = (nxt[k] - c * a) % m
-            nxt[k + 1] = (nxt[k + 1] + c) % m
-        prod = nxt
+    for a in powers:
+        prod = [c % m for c in _convolve(prod, [-a, 1])]
     expected = [0] * (n + 1)
     expected[0] = (-1) % m
     expected[n] = 1 % m
     if prod != expected:
         raise SplitVerificationError("X^n - 1 did not factor into the linear terms")
-    return VandermondeSplit(mat, powers, det.value)
+    return VandermondeSplit(mat, powers, det)
 
 
 def idempotents_mod(m: int) -> list[int]:

@@ -12,7 +12,8 @@ Three rings are provided, all exact, with decidable equality:
   1, zeta, ..., zeta^(phi(M)-1).  Internally an element is one integer
   vector with a single shared denominator exponent; the modulus is
   monic, so reduction never divides.
-* ``ModRing`` / ``ModElem``: the finite rings Z/m.
+* ``ModRing``: the finite rings Z/m, whose elements are plain ints, the
+  residues 0..m-1.
 
 The power-basis kernel, each loop once: ``_convolve`` (schoolbook product;
 ``CycloElem.__mul__``, ``IntPolynomial.__mul__``), ``CycloRing.zeta_sum``
@@ -38,19 +39,43 @@ class NotAUnitError(ValueError):
     """Raised when inverting an element that is not a unit."""
 
 
-def _is_prime(n: int) -> bool:
+# Miller-Rabin to the first 13 prime bases is a proof of primality below
+# 3,317,044,064,679,887,385,961,981, the smallest strong pseudoprime to all of
+# them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_PROOF_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _probable_prime(n: int) -> bool:
+    """Miller-Rabin to the bases 2..41: a proof below _PRIME_PROOF_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _is_prime(n: int) -> bool:
+    """Proven primality; ValueError from _PRIME_PROOF_BOUND on, where no proof is made."""
+    if n >= _PRIME_PROOF_BOUND:
+        raise ValueError(f"primality is proven only below {_PRIME_PROOF_BOUND}")
+    return _probable_prime(n)
 
 
 def divisors(n: int) -> list[int]:
@@ -328,7 +353,7 @@ class CycloRing:
     """The ring Z[1/p][X]/(Phi_M): conductor M, inverted prime p."""
 
     __slots__ = ("conductor", "prime", "modulus", "degree", "_mod_tail", "_zeta_cache",
-                 "_zero", "_one")
+                 "zero", "one")
 
     def __init__(self, conductor: int, prime: int):
         if conductor < 1:
@@ -343,8 +368,8 @@ class CycloRing:
         # nonzero non-leading modulus coefficients, for division-free reduction
         self._mod_tail = tuple((j, c) for j, c in enumerate(self.modulus[:-1]) if c)
         self._zeta_cache: dict[int, CycloElem] = {}
-        self._zero = CycloElem(self, (0,) * self.degree, 0)
-        self._one = CycloElem(self, (1,) + (0,) * (self.degree - 1), 0)
+        self.zero = CycloElem(self, (0,) * self.degree, 0)
+        self.one = CycloElem(self, (1,) + (0,) * (self.degree - 1), 0)
 
     def __eq__(self, other):
         if isinstance(other, CycloRing):
@@ -356,14 +381,6 @@ class CycloRing:
 
     def __repr__(self):
         return f"CycloRing(conductor={self.conductor}, prime={self.prime})"
-
-    @property
-    def zero(self) -> "CycloElem":
-        return self._zero
-
-    @property
-    def one(self) -> "CycloElem":
-        return self._one
 
     def reduce_vector(self, vec: list[int]) -> list[int]:
         """Reduce an exponent-coefficient vector modulo Phi_M, in place.
@@ -643,9 +660,11 @@ def inverse(x: CycloElem) -> CycloElem:
 
 
 class ModRing:
-    """The finite ring Z/m."""
+    """The finite ring Z/m; its elements are the ints 0..m-1."""
 
     __slots__ = ("modulus",)
+    zero = 0
+    one = 1
 
     def __init__(self, modulus: int):
         if modulus < 2:
@@ -663,90 +682,5 @@ class ModRing:
     def __repr__(self):
         return f"ModRing({self.modulus})"
 
-    @property
-    def zero(self) -> "ModElem":
-        return ModElem(self, 0)
-
-    @property
-    def one(self) -> "ModElem":
-        return ModElem(self, 1)
-
-    def element(self, value: int) -> "ModElem":
-        return ModElem(self, value)
-
-    from_int = element
-
-
-class ModElem:
-    """A residue in Z/m."""
-
-    __slots__ = ("ring", "value")
-
-    def __init__(self, ring: ModRing, value: int):
-        self.ring = ring
-        self.value = value % ring.modulus
-
-    def _coerce(self, other):
-        if isinstance(other, ModElem):
-            if other.ring != self.ring:
-                raise ValueError("elements from different rings")
-            return other
-        if isinstance(other, int):
-            return ModElem(self.ring, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ModElem(self.ring, self.value + o.value)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ModElem(self.ring, self.value - o.value)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return ModElem(self.ring, self.value * o.value)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ModElem(self.ring, -self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, ModElem):
-            return self.ring == other.ring and self.value == other.value
-        if isinstance(other, int):
-            # only the canonical residue, so that hash(value) agrees with int equality
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def is_unit(self) -> bool:
-        return math.gcd(self.value, self.ring.modulus) == 1
-
-    def inverse(self) -> "ModElem":
-        if not self.is_unit():
-            raise NotAUnitError(f"{self.value} is not a unit mod {self.ring.modulus}")
-        return ModElem(self.ring, pow(self.value, -1, self.ring.modulus))
-
-    def __str__(self):
-        return str(self.value)
-
-    def __repr__(self):
-        return f"ModElem({self.value} mod {self.ring.modulus})"
+    def element(self, value: int) -> int:
+        return value % self.modulus

@@ -58,7 +58,9 @@ class FinAbGroup:
 
 
 @dataclass(frozen=True, slots=True)
-class GroupElem:
+class _Coords:
+    """One coordinate per cyclic factor, each in 0..p^(e_i) - 1."""
+
     group: FinAbGroup
     coords: tuple[int, ...]
 
@@ -70,6 +72,14 @@ class GroupElem:
         if any(not 0 <= c < n for c, n in zip(coords, orders)):
             raise ValueError("coordinate out of range")
         object.__setattr__(self, "coords", coords)
+
+    def is_zero(self) -> bool:
+        return not any(self.coords)
+
+
+@dataclass(frozen=True, slots=True)
+class GroupElem(_Coords):
+    """An element of the group; never equal to a DualElem with the same coordinates."""
 
     def _same_group(self, other):
         if self.group != other.group:
@@ -91,28 +101,10 @@ class GroupElem:
         orders = self.group.factor_orders
         return GroupElem(self.group, tuple((-a) % n for a, n in zip(self.coords, orders)))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
 
 @dataclass(frozen=True, slots=True)
-class DualElem:
+class DualElem(_Coords):
     """A functional on the group, with the same coordinate shape."""
-
-    group: FinAbGroup
-    coords: tuple[int, ...]
-
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        orders = self.group.factor_orders
-        if len(coords) != len(orders):
-            raise ValueError("coordinate count mismatch")
-        if any(not 0 <= c < n for c, n in zip(coords, orders)):
-            raise ValueError("coordinate out of range")
-        object.__setattr__(self, "coords", coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
 
 class PadicCircle:
@@ -166,9 +158,6 @@ class PadicCircle:
     def is_zero(self) -> bool:
         return self.numerator == 0
 
-    def key(self) -> tuple[int, int]:
-        return (self.level, self.numerator)
-
     def __str__(self):
         if self.numerator == 0:
             return "0"
@@ -191,17 +180,21 @@ def circle_points(p: int, level: int) -> tuple[PadicCircle, ...]:
 # -- element enumeration and the pairing --------------------------------
 
 
+def _enumerate(kind: type, group: FinAbGroup) -> tuple:
+    ranges = [range(n) for n in group.factor_orders]
+    return tuple(kind(group, coords) for coords in itertools.product(*ranges))
+
+
 @lru_cache(maxsize=None)
 def elements(group: FinAbGroup) -> tuple[GroupElem, ...]:
     """All elements in lexicographic coordinate order."""
-    ranges = [range(n) for n in group.factor_orders]
-    return tuple(GroupElem(group, coords) for coords in itertools.product(*ranges))
+    return _enumerate(GroupElem, group)
 
 
 @lru_cache(maxsize=None)
 def dual_elements(group: FinAbGroup) -> tuple[DualElem, ...]:
-    ranges = [range(n) for n in group.factor_orders]
-    return tuple(DualElem(group, coords) for coords in itertools.product(*ranges))
+    """All functionals, in the same order as ``elements``."""
+    return _enumerate(DualElem, group)
 
 
 def element_index(group: FinAbGroup, coords: Sequence[int]) -> int:
@@ -210,6 +203,13 @@ def element_index(group: FinAbGroup, coords: Sequence[int]) -> int:
     for c, n in zip(coords, group.factor_orders):
         idx = idx * n + c
     return idx
+
+
+def _generator_indices(group: FinAbGroup) -> list[int]:
+    """Element indices of the unit coordinate vectors, one per cyclic factor."""
+    rank = len(group.exponents)
+    return [element_index(group, tuple(int(i == k) for i in range(rank)))
+            for k in range(rank)]
 
 
 @lru_cache(maxsize=None)

@@ -48,15 +48,22 @@ a contradiction.  So K(e_v) = E(e_v) for every v, and step 1 determines
 both maps: E[l][v] = zeta^T[v][l], F[v][l] = p^(-s) zeta^(-T[l][v]).
 By steps 2 and 3, (F E)[w][v] = p^(-s) sum_l zeta^(T[v][l] - T[w][l]) =
 p^(-s) sum_l zeta^T[v-w][l] = [v = w], and E F = I the same way through
-the rows of the symmetric table.  Step 4 guards the multi-term
-accumulation (shared denominators, repeated slots) that the linearity
-argument relies on.  It uses a sparse input, O(|V|^2 * rank) per group;
-a dense input would cost O(|V|^2 * phi(M)), so the seeded dense-input
-oracle of the test suite (test_transforms_match_pairing_oracle) remains
-the dense guard.  Step 1 costs O(|V|^2 * (1 + nnz)) additions of
-|V| log2(B)-bit integers plus |V| reductions per direction, with nnz the
-largest support of a zeta^u (at most p - 1 when M = p^e); step 2 costs
-O(|V|^2 * rank) and step 3 O(|V|^2) plus |V| reductions.
+the rows of the symmetric table.
+
+Step 4 is the only check, at run time, that the kernel is Z[zeta]-linear on
+inputs that are not scalars.  The packed inputs of step 1 are integer
+scalars, so step 1 reads each input's power-basis slot 0 only, and steps 2
+and 3 do not run the kernel: a kernel that ignored each term's slot k would
+pass steps 1-3 on every group, and be wrong on each group of exponent above
+2.  The round trips of step 4 transform the output of the other transform,
+whose terms fill every slot, so they reject it.  Step 4 uses a sparse
+input, O(|V|^2 * rank) per group; a dense input would cost
+O(|V|^2 * phi(M)), so the seeded dense-input oracle of the test suite
+(test_transforms_match_pairing_oracle) remains the dense guard.  Step 1
+costs O(|V|^2 * (1 + nnz)) additions of |V| log2(B)-bit integers plus |V|
+reductions per direction, with nnz the largest support of a zeta^u (at
+most p - 1 when M = p^e); step 2 costs O(|V|^2 * rank) and step 3
+O(|V|^2) plus |V| reductions.
 
 When any step fails, the group is decided by ``_inversion_by_round_trips``
 (every basis vector, both ways), so verdicts and the first failing
@@ -66,29 +73,22 @@ When any step fails, the group is decided by ``_inversion_by_round_trips``
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .chargauss import enumerate_characters, units_mod
-from .exactring import CycloElem, CycloRing, is_unit
-from .finab import (FinAbGroup, GroupElem, PadicCircle, element_index, elements,
-                    pairing_numerators)
+from .exactring import CycloElem, CycloRing, _strip_p, is_unit
+from .finab import (FinAbGroup, GroupElem, PadicCircle, _generator_indices, element_index,
+                    elements, pairing_numerators)
 from .matrix import RingMatrix
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
-
-
-def _p_adic_valuation(n: int, p: int) -> int:
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
-    return k
 
 
 def _check_conductor(group: FinAbGroup, ring: CycloRing) -> None:
     if group.prime != ring.prime:
         raise ValueError("group prime differs from the ring's inverted prime")
     e1 = group.exponents[0] if group.exponents else 0
-    if _p_adic_valuation(ring.conductor, group.prime) < e1:
+    if _strip_p(ring.conductor, group.prime)[1] < e1:
         raise ValueError(
             f"conductor {ring.conductor} lacks the p^{e1}-th roots of unity")
 
@@ -102,99 +102,77 @@ def _zeta_exponent_table(group: FinAbGroup, ring: CycloRing) -> tuple[tuple[int,
     return tuple(tuple(t * scale % M for t in row) for row in pairing_numerators(group))
 
 
-class AlgElem:
-    """Element of k[V]: one ring coefficient per group element."""
+class _GroupIndexed:
+    """One ring value per group element, in the lexicographic element order.
 
-    __slots__ = ("group", "ring", "coeffs")
+    The body of AlgElem and FunElem: a subclass names the values' field (the
+    shared slot under another name), gives its error messages and its product.
+    Values of different subclasses never compare equal.
+    """
 
-    def __init__(self, group: FinAbGroup, ring: CycloRing, coeffs: Sequence[CycloElem]):
-        if len(coeffs) != group.order:
-            raise ValueError("one coefficient per group element required")
-        for c in coeffs:
+    __slots__ = ("group", "ring", "_items")
+    _errors: tuple[str, str, str]  # wrong count, wrong ring, different algebras
+
+    def __init__(self, group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem]):
+        if len(items) != group.order:
+            raise ValueError(self._errors[0])
+        for c in items:
             if c.ring is not ring and c.ring != ring:
-                raise ValueError("coefficient from the wrong ring")
+                raise ValueError(self._errors[1])
         self.group = group
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self._items = tuple(items)
 
-    def _same_algebra(self, other: "AlgElem"):
-        if self.group != other.group or self.ring != other.ring:
-            raise ValueError("elements of different group algebras")
+    def _same_algebra(self, other):
+        if type(other) is not type(self) or self.group != other.group or self.ring != other.ring:
+            raise ValueError(self._errors[2])
 
-    def __add__(self, other: "AlgElem") -> "AlgElem":
+    def __add__(self, other):
         self._same_algebra(other)
-        return AlgElem(self.group, self.ring,
-                       [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return type(self)(self.group, self.ring, list(map(add, self._items, other._items)))
 
-    def __sub__(self, other: "AlgElem") -> "AlgElem":
+    def __sub__(self, other):
         self._same_algebra(other)
-        return AlgElem(self.group, self.ring,
-                       [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return type(self)(self.group, self.ring, list(map(sub, self._items, other._items)))
 
-    def __neg__(self) -> "AlgElem":
-        return AlgElem(self.group, self.ring, [-a for a in self.coeffs])
+    def __neg__(self):
+        return type(self)(self.group, self.ring, list(map(neg, self._items)))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.group, self.ring, self._items) == (other.group, other.ring, other._items)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self._items))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.group.notation()}, {[str(c) for c in self._items]})"
+
+
+class AlgElem(_GroupIndexed):
+    """Element of k[V]: one ring coefficient per group element."""
+
+    __slots__ = ()
+    coeffs = _GroupIndexed._items
+    _errors = ("one coefficient per group element required", "coefficient from the wrong ring",
+               "elements of different group algebras")
 
     def __mul__(self, other: "AlgElem") -> "AlgElem":
         return convolve(self, other)
 
-    def __eq__(self, other):
-        if isinstance(other, AlgElem):
-            return (self.group, self.ring, self.coeffs) == \
-                   (other.group, other.ring, other.coeffs)
-        return NotImplemented
 
-    def __hash__(self):
-        return hash((self.group, self.coeffs))
-
-    def __repr__(self):
-        return f"AlgElem({self.group.notation()}, {[str(c) for c in self.coeffs]})"
-
-
-class FunElem:
+class FunElem(_GroupIndexed):
     """Element of the function algebra on the dual: one value per functional."""
 
-    __slots__ = ("group", "ring", "values")
-
-    def __init__(self, group: FinAbGroup, ring: CycloRing, values: Sequence[CycloElem]):
-        if len(values) != group.order:
-            raise ValueError("one value per dual element required")
-        for v in values:
-            if v.ring is not ring and v.ring != ring:
-                raise ValueError("value from the wrong ring")
-        self.group = group
-        self.ring = ring
-        self.values = tuple(values)
-
-    def _same_algebra(self, other: "FunElem"):
-        if self.group != other.group or self.ring != other.ring:
-            raise ValueError("functions over different duals")
-
-    def __add__(self, other: "FunElem") -> "FunElem":
-        self._same_algebra(other)
-        return FunElem(self.group, self.ring,
-                       [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "FunElem") -> "FunElem":
-        self._same_algebra(other)
-        return FunElem(self.group, self.ring,
-                       [a - b for a, b in zip(self.values, other.values)])
+    __slots__ = ()
+    values = _GroupIndexed._items
+    _errors = ("one value per dual element required", "value from the wrong ring",
+               "functions over different duals")
 
     def __mul__(self, other: "FunElem") -> "FunElem":
         self._same_algebra(other)
-        return FunElem(self.group, self.ring,
-                       [a * b for a, b in zip(self.values, other.values)])
-
-    def __eq__(self, other):
-        if isinstance(other, FunElem):
-            return (self.group, self.ring, self.values) == \
-                   (other.group, other.ring, other.values)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self.values))
-
-    def __repr__(self):
-        return f"FunElem({self.group.notation()}, {[str(v) for v in self.values]})"
+        return FunElem(self.group, self.ring, list(map(mul, self.values, other.values)))
 
 
 def basis_element(group: FinAbGroup, ring: CycloRing, v: GroupElem) -> AlgElem:
@@ -473,13 +451,6 @@ def _fixed_round_trips_hold(group: FinAbGroup, ring: CycloRing) -> bool:
     f = FunElem(group, ring, coeffs)
     return (fourier_inverse(evaluate_at_characters(x)) == x
             and evaluate_at_characters(fourier_inverse(f)) == f)
-
-
-def _generator_indices(group: FinAbGroup) -> list[int]:
-    """Element indices of the unit coordinate vectors, one per cyclic factor."""
-    rank = len(group.exponents)
-    return [element_index(group, tuple(int(i == k) for i in range(rank)))
-            for k in range(rank)]
 
 
 def _inversion_by_round_trips(group: FinAbGroup, ring: CycloRing):

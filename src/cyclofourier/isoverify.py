@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 from functools import cache, partial
 from typing import Mapping
 
-from .chargauss import enumerate_characters, is_primitive, standard_ring, units_mod
-from .exactring import CycloElem, CycloRing, get_ring, is_unit
-from .finab import (FinAbGroup, GroupHom, PadicCircle, _require_hom_budget, circle_points,
-                    dual_elements, dual_hom, element_index, elements, enumerate_groups,
-                    enumerate_homs, identity_hom, pairing, pairing_numerators)
+from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
+                        standard_ring, units_mod)
+from .exactring import CycloElem, CycloRing, euler_phi, get_ring, is_unit
+from .finab import (FinAbGroup, GroupHom, PadicCircle, _generator_indices, _require_hom_budget,
+                    circle_points, dual_elements, dual_hom, element_index, elements,
+                    enumerate_groups, enumerate_homs, pairing, pairing_numerators)
 from .groupalgebra import transform_matrix
 from .matrix import determinant
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
@@ -188,14 +189,22 @@ def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
     sample computes one determinant verdict per distinct group: a group
     drawn again, or equal to Z/p^r, reuses the verdict it already has.
     BudgetExceeded is raised up front when n^3 * phi(M)^2, for the largest
-    group order n a sample can draw, exceeds ``limit``.
+    group order n = p^top a sample can draw, exceeds ``limit``.  It is
+    checked from integers alone, before any ring is built: n is not built
+    when 3 top reaches the bit length of ``limit`` (then n^3 >= 2^(3 top)
+    exceeds it), and ``euler_phi(M)`` runs only once n^3 fits, its trial
+    division then taking at most sqrt(M) < n steps.
     """
+    top = r + 1 if extra_groups else r
+    if 3 * top >= limit.bit_length():  # n^3 >= 2^(3 top) > limit
+        raise BudgetExceeded(f"{p}^{top} x {p}^{top} determinants exceed the bound {limit}")
+    n = p ** top
+    conductor = _standard_conductor(p, r)
+    if n ** 3 > limit or n ** 3 * euler_phi(conductor) ** 2 > limit:
+        raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{conductor}] "
+                             f"exceed the bound {limit}")
     rng = random.Random(seed)
     ring = standard_ring(p, r)
-    n = p ** (r + 1) if extra_groups else p ** r
-    if n ** 3 * ring.degree ** 2 > limit:
-        raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{ring.conductor}] "
-                             f"exceed the bound {limit}")
     decision_group = FinAbGroup(p, (r,))
     pool = [g for g in enumerate_groups(p, p ** (r + 1))
             if g.exponents and g.exponents[0] == r]
@@ -263,12 +272,11 @@ def _naturality_pair(V: FinAbGroup, W: FinAbGroup, fn: CircleFunction,
     den_v, den_w = V.exponent_value, W.exponent_value
     locate_v = cache(partial(element_index, V))  # columns repeat across homs
     locate_w = cache(partial(element_index, W))
-    # Column j of a hom's matrix is the image of the j-th generator.
-    gens_v = [locate_v(col) for col in zip(*identity_hom(V).matrix)]
-    gens_w = [locate_w(col) for col in zip(*identity_hom(W).matrix)]
+    gens_v, gens_w = _generator_indices(V), _generator_indices(W)
     count = 0
     for f in enumerate_homs(V, W, limit=limit):
         count += 1
+        # Column j of a hom's matrix is the image of the j-th generator.
         images = [locate_w(col) for col in zip(*f.matrix)]
         dual_images = [locate_v(col) for col in zip(*dual_hom(f).matrix)]
         holds = all(table_w[images[j]][h] * den_v == table_v[g][dual_images[k]] * den_w

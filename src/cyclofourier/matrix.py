@@ -28,8 +28,9 @@ modulo one prime q that splits Phi_M into linear factors, and lifted:
   pivots (swapping rows; a column that is zero from the pivot down makes
   that determinant 0).  Over a field every nonzero residue is a unit, so
   a nonzero pivot that is not a unit shows q composite: that q is dropped
-  and the next candidate is taken.  Candidates are Miller-Rabin probable
-  primes, so this essentially never happens.  The modulus, roots and
+  and the next candidate is taken.  Candidates pass the Miller-Rabin test
+  of ``exactring._probable_prime`` (a proof below 3.3 * 10^24, a filter
+  above), so this essentially never happens.  The modulus, roots and
   V^(-1) are cached per (M, bit size of 2B rounded up to 32 bits).
 
 Integer matrices (degree 1) take fraction-free Bareiss on ints that skips
@@ -78,7 +79,7 @@ from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .exactring import (CycloElem, CycloRing, ModRing, _adjugate_norm, _is_prime,
-                        cyclotomic_polynomial)
+                        _probable_prime, cyclotomic_polynomial)
 
 
 class RingMatrix:
@@ -126,7 +127,7 @@ class RingMatrix:
     def to_json(self):
         """Nested lists: Z/m entries as ints, cyclotomic entries as coefficient strings."""
         if isinstance(self.ring, ModRing):
-            return [[e.value for e in self.row(i)] for i in range(self.rows)]
+            return [list(self.row(i)) for i in range(self.rows)]
         return [[e.coeff_strings() for e in self.row(i)] for i in range(self.rows)]
 
 
@@ -152,11 +153,10 @@ def determinant_expansion(mat: RingMatrix):
     n = mat.rows
     ring = mat.ring
     m = ring.modulus if isinstance(ring, ModRing) else None
-    rows = [mat.row(i) if m is None else [e.value for e in mat.row(i)] for i in range(n)]
     full = (1 << n) - 1
     minors = [0] * (full + 1)
-    minors[full] = ring.one if m is None else 1
-    by_bit = [{1 << j: c for j, c in enumerate(row)} for row in rows]
+    minors[full] = ring.one
+    by_bit = [{1 << j: c for j, c in enumerate(mat.row(i))} for i in range(n)]
     for mask in range(full - 1, -1, -1):
         row = by_bit[mask.bit_count()]
         free = full ^ mask
@@ -169,7 +169,7 @@ def determinant_expansion(mat: RingMatrix):
             negate = not negate
             free ^= low
         minors[mask] = acc if m is None else acc % m
-    return minors[0] if m is None else ring.element(minors[0])
+    return minors[0]
 
 
 # -- determinants over Z[zeta_M], denominators cleared -------------------
@@ -277,33 +277,6 @@ def _det_mod(rows: list[list[int]], q: int) -> int:
             if f:
                 row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
     return det % q
-
-
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _probable_prime(n: int) -> bool:
-    """Miller-Rabin to the first 13 prime bases (a proof below 3.3 * 10^24)."""
-    if n < 2:
-        return False
-    for b in _MILLER_RABIN_BASES:
-        if n % b == 0:
-            return n == b
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MILLER_RABIN_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _candidates(conductor: int, floor: int) -> Iterator[int]:

@@ -172,8 +172,8 @@ def test_gauss_table_twisted_rows_reuse_the_base_flag(capsys, monkeypatch):
     bases = []  # G(chi, eps_1) of each chi, kept alive so ids stay unique
     real_sum, real_unit = cli.gauss_sum, cli.is_unit
 
-    def marking_sum(chi, u=None, tau=None):
-        value = real_sum(chi, u=u, tau=tau)
+    def marking_sum(chi, u):
+        value = real_sum(chi, u=u)
         if u == 1:
             bases.append(value)
         return value
@@ -205,7 +205,6 @@ def test_every_budgeted_entry_point_defaults_to_the_one_budget():
         (diagonalize.decide_diag_cyclic, "budget"), (diagonalize.decide_diag_group, "budget"),
         (diagonalize.vandermonde_iso, "budget"),
         (diagonalize.count_idempotents_group_algebra, "budget"),
-        (cli._budget_from_env, "default"),
     }
     # any other function of the package with a defaulted budget parameter counts as well
     for module in (finab, isoverify, groupalgebra, diagonalize, cli):
@@ -217,8 +216,9 @@ def test_every_budgeted_entry_point_defaults_to_the_one_budget():
     # identity, so that a default written as its own 10 ** 7 literal fails
     for fn, name in entry_points:
         assert inspect.signature(fn).parameters[name].default is DEFAULT_BUDGET, fn
+    # CYCLO_BUDGET is the one knob: no command has a budget flag
     args = cli.build_parser().parse_args(["diag", "--modulus", "5", "--n", "4"])
-    assert args.budget is DEFAULT_BUDGET
+    assert not hasattr(args, "budget")
 
 
 def test_output_file(tmp_path, capsys):
@@ -325,7 +325,8 @@ def test_diag_emit_iso_respects_the_budget(capsys, monkeypatch):
     argv = ("diag", "--n", "16", "--modulus", "593", "--emit-iso")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and len(json.loads(out)["points"]) == 16
-    code, out, err = run_cli(capsys, *argv, "--budget", "1000000")
+    monkeypatch.setenv("CYCLO_BUDGET", "1000000")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == "" and "the budget 1000000" in err
 
 
@@ -361,6 +362,37 @@ def test_iso_respects_the_budget(capsys, monkeypatch):
     monkeypatch.setenv("CYCLO_BUDGET", str(estimate - 1))
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == "" and f"the bound {estimate - 1}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("phi", "--n", "1000000000000"),
+    ("diag", "--n", "1000000000001", "--modulus", "2"),
+    ("verify", "criterion-oracle", "--p", "1000003", "--r", "1"),
+    ("verify", "gauss", "--p", "1000003", "--max-r", "1"),
+    ("gauss-table", "--p", "1000003", "--max-r", "1"),
+    ("verify", "gauss", "--p", "2305843009213693951", "--max-r", "1"),
+], ids=["phi", "diag", "criterion-oracle", "gauss", "gauss-table", "gauss-mersenne-61"])
+def test_huge_inputs_exit_3_at_once(capsys, monkeypatch, argv):
+    # each estimate comes from integers alone, before any ring or polynomial is built
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == "" and err.startswith("budget exceeded: ")
+
+
+def test_new_budget_estimates_are_exact_thresholds(capsys, monkeypatch):
+    # phi: 5 n^2; verify gauss and gauss-table: sum over levels of N phi(N)^2 terms
+    terms = sum(3 ** r * (2 * 3 ** (r - 1)) ** 2 for r in (1, 2, 3))
+    for argv, estimate in ((("phi", "--n", "12"), 5 * 12 ** 2),
+                           (("verify", "gauss", "--p", "3", "--max-r", "3"), terms),
+                           (("gauss-table", "--p", "3", "--max-r", "3"), terms)):
+        monkeypatch.setenv("CYCLO_BUDGET", str(estimate))
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        monkeypatch.setenv("CYCLO_BUDGET", str(estimate - 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == "" and f"{estimate - 1}" in err, argv
 
 
 def test_module_runs_as_a_script():
@@ -427,6 +459,8 @@ def test_criterion_oracle_respects_the_budget(capsys, monkeypatch):
     (("diag", "--modulus", "-7", "--group", "2,2"), "--modulus"),
     (("diag", "--modulus", "5", "--group", "2,x"), "--group"),
     (("diag", "--modulus", "5", "--group", "2,0"), "--group"),
+    # the smallest strong pseudoprime to the 13 Miller-Rabin bases: no proof is made
+    (("verify", "gauss", "--p", "3317044064679887385961981"), "--p"),
 ])
 def test_invalid_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     target = tmp_path / "report.out"

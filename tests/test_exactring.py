@@ -1,8 +1,9 @@
-"""Ring-layer tests: localized integers, cyclotomic quotients, Z/m.
+"""Ring-layer tests: localized integers, cyclotomic quotients, Z/m, primality.
 
 Oracles: fractions.Fraction for the scalar ring, sympy's cyclotomic_poly
-for the cyclotomic polynomials, and a Fraction Gaussian-elimination
-determinant of the multiplication matrix as an independent unit test.
+for the cyclotomic polynomials, a Fraction Gaussian-elimination
+determinant of the multiplication matrix as an independent unit test,
+and sympy.isprime for the primality test.
 """
 
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from cyclofourier import (CycloElem, CycloRing, IntPolynomial, LocalizedInt, ModRing,
                           NotAUnitError, cyclotomic_polynomial, euler_phi, galois_conjugate,
                           get_ring, inverse, is_unit, lift_conductor, norm)
+from cyclofourier.exactring import _is_prime, _probable_prime
 
 CONDUCTORS = [1, 3, 4, 5, 6, 8, 9, 12, 16, 18, 27]
 
@@ -455,17 +457,40 @@ def test_conductor_one_ring_is_the_scalar_ring():
     assert is_unit(ring.from_int(25))
 
 
-def test_mod_elem_eq_hash_contract():
+def test_mod_ring_elements_are_the_int_residues():
     ring = ModRing(7)
-    x = ring.element(5)
-    assert x == 5 and 5 in {x} and x in {5}
-    assert x != 12 and x != -2  # only the canonical residue equals an int
-    assert ring.element(12) == x and {ring.element(12): "a"}[x] == "a"
-    assert ModRing(11).element(5) != x
-    for m in (2, 7, 12):
-        mring = ModRing(m)
-        for v in range(-15, 15):
-            y = mring.element(v)
-            for n in range(-15, 15):
-                if y == n:
-                    assert hash(y) == hash(n)
+    assert ring.element(12) == 5 and type(ring.element(-2)) is int
+    assert (ring.zero, ring.one) == (0, 1) and type(ring.one) is int
+    assert ModRing(7) == ring and hash(ModRing(7)) == hash(ring) and ModRing(11) != ring
+
+
+# The smallest strong pseudoprime to the 13 bases 2..41 (Sorenson and Webster 2017),
+# and the smallest one to the 12 bases 2..37, which base 41 exposes.
+_PSI_13 = 3_317_044_064_679_887_385_961_981
+_PSI_12 = 318_665_857_834_031_151_167_461
+
+
+def _chernick_carmichael(ks):
+    """(6k + 1)(12k + 1)(18k + 1) with all three factors prime: Carmichael numbers."""
+    for k in ks:
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        if all(map(sympy.isprime, factors)):
+            yield math.prod(factors)
+
+
+def test_is_prime_agrees_with_sympy():
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == list(sympy.primerange(10 ** 5))
+    assert _is_prime(2 ** 61 - 1) and not _is_prime(2 ** 61 + 1)
+    small = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 46657]
+    large = list(_chernick_carmichael(range(10 ** 7, 10 ** 7 + 600)))
+    assert len(large) >= 3 and max(large) < _PSI_13
+    for n in small + list(_chernick_carmichael(range(1, 300))) + large + [_PSI_12]:
+        assert not _is_prime(n) and not sympy.isprime(n), n
+    assert _is_prime(_PSI_13 - 2) == sympy.isprime(_PSI_13 - 2)
+
+
+def test_is_prime_refuses_past_the_proof_bound():
+    assert _probable_prime(_PSI_13) and not sympy.isprime(_PSI_13)
+    for n in (_PSI_13, _PSI_13 + 2, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="proven only below"):
+            _is_prime(n)

@@ -58,6 +58,19 @@ def test_element_arithmetic_bounds():
         a + GroupElem(G(2, 1), (1,))
 
 
+def test_dual_elements_share_the_coordinate_check_but_never_equal_elements():
+    for grp in (G(2, 2), G(3, 1, 1), G(2, 3, 1)):
+        els, duals = elements(grp), dual_elements(grp)
+        assert [l.coords for l in duals] == [v.coords for v in els]
+        assert all(v != l and l != v for v, l in zip(els, duals))
+        assert len(set(els) | set(duals)) == 2 * grp.order
+    for kind in (GroupElem, DualElem):
+        for coords, message in (((4,), "out of range"), ((0, 0), "count mismatch")):
+            with pytest.raises(ValueError, match=message):
+                kind(G(2, 2), coords)
+    assert not hasattr(DualElem(G(2, 2), (1,)), "__add__")
+
+
 def test_circle_normalization():
     x = PadicCircle(2, 2, 2)  # 2/4 = 1/2
     assert (x.numerator, x.level) == (1, 1)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from cyclofourier import (AlgElem, FinAbGroup, FunElem, GroupElem, LocalizedInt,
+from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, LocalizedInt,
                           PadicCircle, algebra_one, basis_element, character_table,
                           circle_points, convolution_matrix, convolve, determinant,
                           dual_elements, element_index, elements, enumerate_groups,
@@ -122,6 +122,31 @@ def test_fourier_inversion_on_basis_and_random():
         assert evaluate_at_characters(fourier_inverse(f)) == f
     zero_fun = FunElem(g, ring, [ring.zero] * 4)
     assert fourier_inverse(zero_fun) == AlgElem(g, ring, [ring.zero] * 4)
+
+
+def test_algebra_and_function_elements_share_one_body_but_never_compare_equal():
+    g = G(3, 1)
+    ring = get_ring(3, 3)
+    items = [ring.from_int(2), ring.zeta(1), ring.zero]
+    x, f = AlgElem(g, ring, items), FunElem(g, ring, items)
+    assert x.coeffs == f.values == tuple(items)
+    assert x != f and f != x and len({x, f}) == 2
+    assert (x + x - x, -(-f)) == (x, f)
+    assert (repr(x), repr(f)) == ("AlgElem(3, ['[2, 0]', '[0, 1]', '[0, 0]'])",
+                                  "FunElem(3, ['[2, 0]', '[0, 1]', '[0, 0]'])")
+    assert (f * f).values == tuple(a * a for a in items)
+    assert x * x == convolve(x, x) != AlgElem(g, ring, [a * a for a in items])
+    for make, count, wrong in (
+            (AlgElem, "one coefficient per group element", "coefficient from the wrong ring"),
+            (FunElem, "one value per dual element", "value from the wrong ring")):
+        with pytest.raises(ValueError, match=count):
+            make(g, ring, items[:2])
+        with pytest.raises(ValueError, match=wrong):
+            make(g, ring, [get_ring(9, 3).one] * 3)
+    with pytest.raises(ValueError, match="different group algebras"):
+        x + AlgElem(G(3, 1), get_ring(9, 3), [get_ring(9, 3).one] * 3)
+    with pytest.raises(ValueError, match="different duals"):
+        f - x
 
 
 def test_fourier_requires_enough_roots():
@@ -370,6 +395,17 @@ def _keep_the_first_term(monkeypatch):
     monkeypatch.setattr(groupalgebra, "_transform", first_only)
 
 
+def _ignore_the_slot(monkeypatch):
+    """Patch the kernel to put each term at zeta^(sign <i, j>), whatever its slot k."""
+    real = groupalgebra._transform
+
+    def slotless(group, ring, items, sign, extra_exp):
+        flat = [CycloElem(ring, [sum(c.nums)] + [0] * (ring.degree - 1), c.exp) for c in items]
+        return real(group, ring, flat, sign, extra_exp)
+
+    monkeypatch.setattr(groupalgebra, "_transform", slotless)
+
+
 @pytest.mark.parametrize("defect", ["diagonal", "off-diagonal", "zero row", "sign",
                                     "first term only"])
 def test_faulty_table_or_transform_gives_the_round_trip_verdicts(monkeypatch, defect):
@@ -439,6 +475,16 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
         assert not groupalgebra._kernel_columns_match(g, ring, table)
         assert not groupalgebra._fixed_round_trips_hold(g, ring)
     assert groupalgebra._fixed_round_trips_hold(g, ring)
+    # Step 4 alone: a kernel that ignores each term's power-basis slot is right on
+    # the integer-scalar packed inputs of step 1, and steps 2 and 3 do not run it;
+    # the round trips of step 4 transform non-scalar values and reject it.
+    with monkeypatch.context() as m:
+        _ignore_the_slot(m)
+        assert groupalgebra._kernel_columns_match(g, ring, table)
+        assert not groupalgebra._fixed_round_trips_hold(g, ring)
+        assert fourier_inversion_report(3, 27).failed == 12  # of 14, by the round trips
+        m.setattr(groupalgebra, "_fixed_round_trips_hold", lambda group, ring: True)
+        assert fourier_inversion_report(3, 27).failed == 0
     # Step 1: a synthesis without the sign no longer matches the table's columns.
     z4 = G(2, 2)
     ring4 = get_ring(4, 2)
