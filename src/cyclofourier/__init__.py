@@ -2,7 +2,7 @@
 group algebras, Gauss-sum identities, invertibility of pairing-evaluation
 transforms, and diagonalizability of group algebras over finite rings."""
 
-from .exactring import (CycloElem, CycloRing, IntPolynomial, LocalizedInt, ModRing,
+from .exactring import (CycloElem, CycloRing, IntPolynomial, ModRing,
                         NotAUnitError, cyclotomic_polynomial, euler_phi, galois_conjugate,
                         get_ring, inverse, is_unit, lift_conductor, norm)
 from .finab import (DualElem, FinAbGroup, GroupElem, GroupHom, PadicCircle,

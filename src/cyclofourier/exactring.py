@@ -1,17 +1,14 @@
 """Exact arithmetic in the coefficient rings.
 
-Three rings are provided, all exact, with decidable equality:
+Two rings are provided, both exact, with decidable equality:
 
-* ``LocalizedInt``: the subring Z[1/p] of Q, stored as an arbitrary
-  precision numerator plus the exponent of a p-power denominator.  The
-  value is kept normalized (the numerator is not divisible by p unless
-  the exponent is 0), so the units are recognizable structurally: they
-  are exactly +/- p^k.
 * ``CycloRing`` / ``CycloElem``: the quotient Z[1/p][X]/(Phi_M), where
   Phi_M is the M-th cyclotomic polynomial, on the power basis
   1, zeta, ..., zeta^(phi(M)-1).  Internally an element is one integer
   vector with a single shared denominator exponent; the modulus is
-  monic, so reduction never divides.
+  monic, so reduction never divides.  Conductor 1 is Z[1/p] itself
+  (``get_ring(1, p)``): norms and scalars land there, and its units are
+  exactly +/- p^k.
 * ``ModRing``: the finite rings Z/m, whose elements are plain ints, the
   residues 0..m-1.
 
@@ -30,7 +27,6 @@ returns a new value, so they are safe to share across threads.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -120,121 +116,6 @@ def _strip_p(n: int, p: int) -> tuple[int, int]:
     return n, k
 
 
-class LocalizedInt:
-    """An element of Z[1/p]: numerator / p^denom_exp."""
-
-    __slots__ = ("numerator", "denom_exp", "prime")
-
-    def __init__(self, numerator: int, denom_exp: int = 0, prime: int = 2):
-        if denom_exp < 0:
-            numerator *= prime ** (-denom_exp)
-            denom_exp = 0
-        if numerator == 0:
-            denom_exp = 0
-        else:
-            while denom_exp > 0 and numerator % prime == 0:
-                numerator //= prime
-                denom_exp -= 1
-        self.numerator = numerator
-        self.denom_exp = denom_exp
-        self.prime = prime
-
-    def _coerce(self, other) -> "LocalizedInt | None":
-        if isinstance(other, LocalizedInt):
-            if other.prime != self.prime:
-                raise ValueError("mixed inverted primes")
-            return other
-        if isinstance(other, int):
-            return LocalizedInt(other, 0, self.prime)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        p = self.prime
-        e = max(self.denom_exp, o.denom_exp)
-        num = self.numerator * p ** (e - self.denom_exp) + o.numerator * p ** (e - o.denom_exp)
-        return LocalizedInt(num, e, p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LocalizedInt(self.numerator * o.numerator, self.denom_exp + o.denom_exp, self.prime)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return LocalizedInt(-self.numerator, self.denom_exp, self.prime)
-
-    def __bool__(self):
-        return self.numerator != 0
-
-    def __eq__(self, other):
-        """Values of Z[1/p] for different p are unequal; only arithmetic mixing them raises."""
-        if isinstance(other, LocalizedInt):
-            return (self.numerator, self.denom_exp, self.prime) == (
-                other.numerator, other.denom_exp, other.prime)
-        if isinstance(other, int):
-            return self.denom_exp == 0 and self.numerator == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.denom_exp == 0:
-            return hash(self.numerator)
-        return hash((self.numerator, self.denom_exp, self.prime))
-
-    def is_unit(self) -> bool:
-        """True iff the value is +/- p^k for some integer k."""
-        if self.numerator == 0:
-            return False
-        n0, _ = _strip_p(abs(self.numerator), self.prime)
-        return n0 == 1
-
-    def inverse(self) -> "LocalizedInt":
-        if not self.is_unit():
-            raise NotAUnitError(f"{self} is not a unit of Z[1/{self.prime}]")
-        sign = 1 if self.numerator > 0 else -1
-        _, k = _strip_p(abs(self.numerator), self.prime)
-        t = k - self.denom_exp
-        return LocalizedInt(sign, t, self.prime)
-
-    def exact_div(self, other) -> "LocalizedInt":
-        """Exact quotient in Z[1/p]; raises ValueError if not divisible."""
-        o = self._coerce(other)
-        if o is None or o.numerator == 0:
-            raise ValueError("division by zero or incompatible value")
-        sign = 1 if o.numerator > 0 else -1
-        b0, j = _strip_p(abs(o.numerator), self.prime)
-        if self.numerator % b0 != 0:
-            raise ValueError(f"{self} is not divisible by {o} in Z[1/{self.prime}]")
-        num = sign * (self.numerator // b0)
-        return LocalizedInt(num, self.denom_exp + j - o.denom_exp, self.prime)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.prime ** self.denom_exp)
-
-    def __str__(self):
-        if self.denom_exp == 0:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.prime}^{self.denom_exp}"
-
-    def __repr__(self):
-        return f"LocalizedInt({self})"
-
-
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Schoolbook product of two coefficient lists, lowest degree first, skipping zeros."""
     out = [0] * (len(a) + len(b) - 1)
@@ -271,18 +152,6 @@ class IntPolynomial:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other):
-        return self + IntPolynomial([-c for c in other.coeffs])
 
     def __mul__(self, other):
         return IntPolynomial(_convolve(self.coeffs, other.coeffs))
@@ -404,29 +273,25 @@ class CycloRing:
     def from_int(self, n: int) -> "CycloElem":
         return CycloElem(self, (n,) + (0,) * (self.degree - 1), 0)
 
-    def scalar(self, value: LocalizedInt) -> "CycloElem":
-        if value.prime != self.prime:
-            raise ValueError("mixed inverted primes")
-        return CycloElem(self, (value.numerator,) + (0,) * (self.degree - 1), value.denom_exp)
+    def element(self, coeffs: Sequence["int | CycloElem"]) -> "CycloElem":
+        """Build an element from power-basis coefficients: ints, or values of Z[1/p].
 
-    def element(self, coeffs: Sequence[int | LocalizedInt]) -> "CycloElem":
-        """Build an element from power-basis coefficients (ints or LocalizedInt)."""
+        A value of Z[1/p] is an element of ``get_ring(1, p)`` for this ring's
+        prime; anything else is a ValueError.
+        """
         if len(coeffs) != self.degree:
             raise ValueError(f"expected {self.degree} coefficients, got {len(coeffs)}")
-        exps = []
+        fractions = []  # (numerator, denominator exponent) per coefficient
         for c in coeffs:
-            if isinstance(c, LocalizedInt):
-                if c.prime != self.prime:
-                    raise ValueError("mixed inverted primes")
-                exps.append(c.denom_exp)
+            if isinstance(c, int):
+                fractions.append((c, 0))
+            elif (isinstance(c, CycloElem) and c.ring.conductor == 1
+                  and c.ring.prime == self.prime):
+                fractions.append((c.nums[0], c.exp))
             else:
-                exps.append(0)
-        shared = max(exps, default=0)
-        nums = []
-        for c, e in zip(coeffs, exps):
-            n = c.numerator if isinstance(c, LocalizedInt) else c
-            nums.append(n * self.prime ** (shared - e))
-        return CycloElem(self, nums, shared)
+                raise ValueError(f"{c!r} is not a value of Z[1/{self.prime}]")
+        shared = max((e for _, e in fractions), default=0)
+        return CycloElem(self, [n * self.prime ** (shared - e) for n, e in fractions], shared)
 
     def zeta(self, u: int) -> "CycloElem":
         """The class of X^(u mod M): the u-th power of the chosen root of unity."""
@@ -491,30 +356,33 @@ class CycloElem:
 
     # -- views ---------------------------------------------------------
 
-    @property
-    def coeffs(self) -> tuple[LocalizedInt, ...]:
-        """Power-basis coefficients as LocalizedInt values."""
-        p = self.ring.prime
-        return tuple(LocalizedInt(n, self.exp, p) for n in self.nums)
-
     def coeff_strings(self) -> list[str]:
-        """A new list of str of each coefficient in ``coeffs``.
+        """A new list of str of each coefficient, in lowest terms: "n" or "n/p^e".
 
-        Integral values skip the LocalizedInt, and a small one takes its
-        string from ``_INT_STRINGS``, so equal small coefficients share one
-        string object across every list handed out.
+        An integral element takes a small coefficient's string from
+        ``_INT_STRINGS``, so equal small coefficients share one string object
+        across every list handed out.
         """
         if self.exp == 0:
             return list(map(_INT_STRINGS.__getitem__, self.nums))
-        return [str(c) for c in self.coeffs]
+        p = self.ring.prime
+        strings = []
+        for n in self.nums:
+            e = self.exp
+            while e and n % p == 0:  # 0 ends at e = 0, as "0"
+                n //= p
+                e -= 1
+            strings.append(f"{n}/{p}^{e}" if e else str(n))
+        return strings
 
     def is_scalar(self) -> bool:
         return not any(self.nums[1:])
 
-    def as_scalar(self) -> LocalizedInt:
+    def as_scalar(self) -> "CycloElem":
+        """The scalar as a value of Z[1/p], the ring ``get_ring(1, p)``."""
         if not self.is_scalar():
             raise ValueError(f"{self!r} is not a scalar")
-        return LocalizedInt(self.nums[0], self.exp, self.ring.prime)
+        return CycloElem(get_ring(1, self.ring.prime), self.nums[:1], self.exp)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -525,8 +393,6 @@ class CycloElem:
             return other
         if isinstance(other, int):
             return self.ring.from_int(other)
-        if isinstance(other, LocalizedInt):
-            return self.ring.scalar(other)
         return None
 
     def __add__(self, other):
@@ -561,18 +427,6 @@ class CycloElem:
         return CycloElem(self.ring, self.ring.reduce_vector(out), self.exp + o.exp)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers: use inverse() explicitly")
-        acc = self.ring.one
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
 
     def __bool__(self):
         return any(self.nums)
@@ -623,7 +477,7 @@ def galois_conjugate(x: CycloElem, t: int) -> CycloElem:
     return _substitute(x, t, x.ring)
 
 
-def _adjugate_norm(x: CycloElem) -> tuple[CycloElem, LocalizedInt]:
+def _adjugate_norm(x: CycloElem) -> tuple[CycloElem, CycloElem]:
     """The product of the nontrivial Galois conjugates of x, then N(x): phi(M) - 1 products."""
     M = x.ring.conductor
     conjugates = [galois_conjugate(x, t) for t in range(2, M) if math.gcd(t, M) == 1]
@@ -636,24 +490,33 @@ def _adjugate_norm(x: CycloElem) -> tuple[CycloElem, LocalizedInt]:
     return adj, full.as_scalar()
 
 
-def norm(x: CycloElem) -> LocalizedInt:
-    """Product of all Galois conjugates; lands in Z[1/p] (checked)."""
+def norm(x: CycloElem) -> CycloElem:
+    """Product of all Galois conjugates; lands in Z[1/p], the ring get_ring(1, p) (checked)."""
     return _adjugate_norm(x)[1]
+
+
+def _unit_exponent(n: int, p: int) -> int | None:
+    """k when n = +/- p^k, else None: the numerator test of the units +/- p^k of Z[1/p]."""
+    n0, k = _strip_p(abs(n), p)
+    return k if n0 == 1 else None
 
 
 def is_unit(x: CycloElem) -> bool:
     """True iff x is invertible, i.e. its norm is +/- p^k."""
-    if x.is_scalar():
-        return x.as_scalar().is_unit()
-    return norm(x).is_unit()
+    scalar = x if x.is_scalar() else norm(x)
+    return _unit_exponent(scalar.nums[0], x.ring.prime) is not None
 
 
 def inverse(x: CycloElem) -> CycloElem:
-    """Inverse of a unit, via the product of the other conjugates over the norm."""
+    """Inverse of a unit: the product of the other conjugates times 1/N(x) = +/- p^(e - k)."""
     adj, n = _adjugate_norm(x)
-    if not n.is_unit():
+    num, p = n.nums[0], x.ring.prime
+    k = _unit_exponent(num, p)
+    if k is None:
         raise NotAUnitError(f"element with norm {n} is not a unit")
-    return adj * n.inverse()
+    t = n.exp - k  # N(x) = +/- p^k / p^e
+    sign = 1 if num > 0 else -1
+    return CycloElem(x.ring, [sign * c * p ** max(t, 0) for c in adj.nums], adj.exp + max(-t, 0))
 
 
 # -- finite rings Z/m ---------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .report import DEFAULT_BUDGET, BudgetExceeded
 
@@ -395,9 +395,8 @@ def hom_count(source: FinAbGroup, target: FinAbGroup) -> int:
     return count
 
 
-def _require_hom_budget(pairs: Iterable[tuple[FinAbGroup, FinAbGroup]], limit: int) -> int:
-    """The largest hom_count of the (source, target) pairs; BudgetExceeded above limit."""
-    source, target = max(pairs, key=lambda pair: hom_count(*pair))
+def _require_hom_budget(source: FinAbGroup, target: FinAbGroup, limit: int) -> int:
+    """hom_count(source, target); BudgetExceeded above limit."""
     total = hom_count(source, target)
     if total > limit:
         raise BudgetExceeded(
@@ -406,10 +405,27 @@ def _require_hom_budget(pairs: Iterable[tuple[FinAbGroup, FinAbGroup]], limit: i
     return total
 
 
+def _require_sweep_hom_budget(p: int, max_order: int, limit: int) -> None:
+    """BudgetExceeded when a pair of p-groups of order <= max_order has more than limit homs.
+
+    hom_count(V, W) is p to the sum of min(e_j, f_i), and min(e, f) <= e f,
+    so that sum is at most (sum e_j)(sum f_i) <= s^2 for the largest order
+    p^s; only (Z/p)^s to itself reaches it.  So that one pair is checked,
+    and no group is listed; once s^2 passes the bit length of limit, p^(s^2)
+    exceeds it without being counted.
+    """
+    s = _top_exponent(p, max_order)
+    if s * s > limit.bit_length():
+        raise BudgetExceeded(f"{p}^{s * s} homomorphisms (Z/{p})^{s} -> (Z/{p})^{s} "
+                             f"exceed the bound {limit}")
+    elementary = FinAbGroup(p, (1,) * s)
+    _require_hom_budget(elementary, elementary, limit)
+
+
 def enumerate_homs(source: FinAbGroup, target: FinAbGroup,
                    limit: int = DEFAULT_BUDGET) -> Iterator[GroupHom]:
     """All homomorphisms, one matrix entry choice at a time, deterministic order."""
-    total = _require_hom_budget([(source, target)], limit)
+    total = _require_hom_budget(source, target, limit)
     p = source.prime
     src = source.exponents
     tgt = target.exponents
@@ -438,14 +454,17 @@ def _partitions(n: int, maxpart: int | None = None) -> Iterator[tuple[int, ...]]
             yield (first,) + rest
 
 
+def _top_exponent(p: int, max_order: int) -> int:
+    """The largest s with p^s <= max_order: enumerate_groups lists the orders p^0 .. p^s."""
+    s = 0
+    while p ** (s + 1) <= max_order:
+        s += 1
+    return s
+
+
 def enumerate_groups(p: int, max_order: int) -> list[FinAbGroup]:
     """All p-groups of order <= max_order, sorted by order then by partition."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    groups = []
-    size = 0
-    while p ** size <= max_order:
-        for part in _partitions(size):
-            groups.append(FinAbGroup(p, part))
-        size += 1
-    return groups
+    return [FinAbGroup(p, part) for size in range(_top_exponent(p, max_order) + 1)
+            for part in _partitions(size)]

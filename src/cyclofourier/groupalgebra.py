@@ -356,9 +356,16 @@ def fourier_inversion_report(p: int, max_order: int, limit: int = DEFAULT_BUDGET
     failing index.  BudgetExceeded is raised before any arithmetic when sum
     over groups of |V|^2 * M exceeds ``limit``; that estimate charges a
     length-M sum to every (input, output) pair, more than the proof does.
+    Its term for Z/p^s alone, p^(3s) for the largest order p^s, is checked
+    first, before any group is listed.
     """
-    from .finab import enumerate_groups
+    from .finab import _top_exponent, enumerate_groups
 
+    s = _top_exponent(p, max_order)
+    if p ** (3 * s) > limit:
+        raise BudgetExceeded(f"Fourier sweep of p = {p} up to order {max_order}: "
+                             f"Z/{p}^{s} alone has |V|^2 * M = {p ** (3 * s)}, "
+                             f"over the bound {limit}")
     groups = enumerate_groups(p, max_order)
     cost = sum(g.order ** 2 * g.exponent_value for g in groups)
     if cost > limit:

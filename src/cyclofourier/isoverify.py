@@ -15,7 +15,6 @@ f: V -> W and proves its square from the bilinear adjoint identity
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cache, partial
@@ -24,9 +23,10 @@ from typing import Mapping
 from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
                         standard_ring, units_mod)
 from .exactring import CycloElem, CycloRing, euler_phi, get_ring, is_unit
-from .finab import (FinAbGroup, GroupHom, PadicCircle, _generator_indices, _require_hom_budget,
-                    circle_points, dual_elements, dual_hom, element_index, elements,
-                    enumerate_groups, enumerate_homs, pairing, pairing_numerators)
+from .finab import (FinAbGroup, GroupHom, PadicCircle, _generator_indices,
+                    _require_sweep_hom_budget, _top_exponent, circle_points, dual_elements,
+                    dual_hom, element_index, elements, enumerate_groups, enumerate_homs,
+                    pairing, pairing_numerators)
 from .groupalgebra import transform_matrix
 from .matrix import determinant
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
@@ -193,8 +193,13 @@ def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
     checked from integers alone, before any ring is built: n is not built
     when 3 top reaches the bit length of ``limit`` (then n^3 >= 2^(3 top)
     exceeds it), and ``euler_phi(M)`` runs only once n^3 fits, its trial
-    division then taking at most sqrt(M) < n steps.
+    division then taking at most sqrt(M) < n steps.  The loop is charged
+    first: BudgetExceeded when samples * (1 + extra_groups) determinant
+    verdicts exceed ``limit``.
     """
+    if samples * (1 + extra_groups) > limit:
+        raise BudgetExceeded(f"{samples} samples x (1 + {extra_groups}) determinant verdicts "
+                             f"exceed the bound {limit}")
     top = r + 1 if extra_groups else r
     if 3 * top >= limit.bit_length():  # n^3 >= 2^(3 top) > limit
         raise BudgetExceeded(f"{p}^{top} x {p}^{top} determinants exceed the bound {limit}")
@@ -307,8 +312,8 @@ def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
     fn = fn if fn is not None else CircleFunction.spike(p)
     if ring is None:
         ring = fn.ring if fn.kind == "table" else spike_ring(p)
+    _require_sweep_hom_budget(p, max_order, limit)
     groups = enumerate_groups(p, max_order)
-    _require_hom_budget(itertools.product(groups, repeat=2), limit)
     report = VerifyReport("verify-naturality",
                           {"p": p, "max_order": max_order, "alpha": fn.label()})
     for V in groups:
@@ -340,14 +345,13 @@ def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None
     fn = fn if fn is not None else CircleFunction.spike(p)
     if ring is None:
         ring = fn.ring if fn.kind == "table" else spike_ring(p)
-    groups = enumerate_groups(p, max_order)
-    n = max(g.order for g in groups)
+    n = p ** _top_exponent(p, max_order)  # the largest group order
     if n ** 3 * ring.degree > limit:
         raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{ring.conductor}] "
                              f"exceed the bound {limit}")
     if hom_order_bound:
-        _require_hom_budget(itertools.product(
-            enumerate_groups(p, min(hom_order_bound, max_order)), repeat=2), limit)
+        _require_sweep_hom_budget(p, min(hom_order_bound, max_order), limit)
+    groups = enumerate_groups(p, max_order)
     report = VerifyReport("verify-iso",
                           {"p": p, "max_order": max_order, "alpha": fn.label(),
                            "hom_order_bound": hom_order_bound,

@@ -415,7 +415,7 @@ def _vec_mul(a: list[int], b: list[int], ring: CycloRing) -> list[int]:
 def _vec_adjugate_norm(vec: list[int], ring: CycloRing) -> tuple[list[int], int]:
     """Product of the nontrivial conjugates of vec, and the integer norm."""
     adj, n = _adjugate_norm(CycloElem(ring, vec, 0))
-    return list(adj.nums), n.numerator
+    return list(adj.nums), n.nums[0]
 
 
 def _bareiss_vec(m: list[list[list[int]]], ring: CycloRing) -> list[int]:

@@ -141,8 +141,9 @@ def _gauss_table_oracle(p, max_r, fmt):
         for chi in enumerate_characters(p, r, ring):
             for u in range(p ** r):
                 value = gauss_sum(chi, u=u)
+                assert value.exp == 0  # a Gauss sum lies in Z[zeta_N]
                 rows.append({"N": p ** r, "chi_exponents": ";".join(map(str, chi.exponents)),
-                             "u": u, "sum_coeffs": ";".join(str(c) for c in value.coeffs),
+                             "u": u, "sum_coeffs": ";".join(map(str, value.nums)),
                              "is_unit": is_unit(value)})
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
@@ -371,9 +372,17 @@ def test_iso_respects_the_budget(capsys, monkeypatch):
     ("verify", "gauss", "--p", "1000003", "--max-r", "1"),
     ("gauss-table", "--p", "1000003", "--max-r", "1"),
     ("verify", "gauss", "--p", "2305843009213693951", "--max-r", "1"),
-], ids=["phi", "diag", "criterion-oracle", "gauss", "gauss-table", "gauss-mersenne-61"])
+    ("verify", "fourier", "--p", "2", "--max-order", str(10 ** 30)),
+    ("verify", "iso", "--p", "2", "--max-order", str(10 ** 30)),
+    ("verify", "naturality", "--p", "2", "--max-order", str(10 ** 30)),
+    ("verify", "criterion-oracle", "--samples", "1000000000"),
+    ("verify", "criterion-oracle", "--samples", "1", "--extra-groups", "1000000000"),
+], ids=["phi", "diag", "criterion-oracle", "gauss", "gauss-table", "gauss-mersenne-61",
+        "fourier-order", "iso-order", "naturality-order", "criterion-samples",
+        "criterion-extra-groups"])
 def test_huge_inputs_exit_3_at_once(capsys, monkeypatch, argv):
     # each estimate comes from integers alone, before any ring or polynomial is built
+    # and before any group is listed or any sample drawn
     monkeypatch.delenv("CYCLO_BUDGET", raising=False)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
@@ -382,11 +391,16 @@ def test_huge_inputs_exit_3_at_once(capsys, monkeypatch, argv):
 
 
 def test_new_budget_estimates_are_exact_thresholds(capsys, monkeypatch):
-    # phi: 5 n^2; verify gauss and gauss-table: sum over levels of N phi(N)^2 terms
+    # phi: 5 n^2; verify gauss and gauss-table: sum over levels of N phi(N)^2 terms;
+    # criterion-oracle: samples * (1 + extra_groups) verdicts, as p = 2, r = 1 has
+    # 2^3 * phi(4)^2 = 32 per determinant
     terms = sum(3 ** r * (2 * 3 ** (r - 1)) ** 2 for r in (1, 2, 3))
+    criterion = ("verify", "criterion-oracle", "--p", "2", "--r", "1", "--samples", "40",
+                 "--extra-groups", "0")
     for argv, estimate in ((("phi", "--n", "12"), 5 * 12 ** 2),
                            (("verify", "gauss", "--p", "3", "--max-r", "3"), terms),
-                           (("gauss-table", "--p", "3", "--max-r", "3"), terms)):
+                           (("gauss-table", "--p", "3", "--max-r", "3"), terms),
+                           (criterion, 40)):
         monkeypatch.setenv("CYCLO_BUDGET", str(estimate))
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0, argv

@@ -1,4 +1,4 @@
-"""Ring-layer tests: localized integers, cyclotomic quotients, Z/m, primality.
+"""Ring-layer tests: Z[1/p] (conductor 1), cyclotomic quotients, Z/m, primality.
 
 Oracles: fractions.Fraction for the scalar ring, sympy's cyclotomic_poly
 for the cyclotomic polynomials, a Fraction Gaussian-elimination
@@ -15,7 +15,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclofourier import (CycloElem, CycloRing, IntPolynomial, LocalizedInt, ModRing,
+from cyclofourier import (CycloElem, CycloRing, IntPolynomial, ModRing,
                           NotAUnitError, cyclotomic_polynomial, euler_phi, galois_conjugate,
                           get_ring, inverse, is_unit, lift_conductor, norm)
 from cyclofourier.exactring import _is_prime, _probable_prime
@@ -23,17 +23,38 @@ from cyclofourier.exactring import _is_prime, _probable_prime
 CONDUCTORS = [1, 3, 4, 5, 6, 8, 9, 12, 16, 18, 27]
 
 
+def zp(n, e, p):
+    """n / p^e in Z[1/p], the conductor-1 ring."""
+    return CycloElem(get_ring(1, p), (n,), e)
+
+
+def frac(x):
+    """A value of Z[1/p] as a Fraction."""
+    return Fraction(x.nums[0], x.ring.prime ** x.exp)
+
+
+def coefficient_fractions(x):
+    """The power-basis coefficients of x as Fractions."""
+    return [Fraction(n, x.ring.prime ** x.exp) for n in x.nums]
+
+
+def fraction_string(value, p):
+    """The str of a value of Z[1/p] in lowest terms, from a Fraction: "n" or "n/p^e"."""
+    den = value.denominator
+    e = next(e for e in range(den.bit_length()) if p ** e == den)
+    return f"{value.numerator}/{p}^{e}" if e else str(value.numerator)
+
+
 def rand_localized(rng, p):
-    return LocalizedInt(rng.randint(-40, 40), rng.randint(0, 3), p)
+    return zp(rng.randint(-40, 40), rng.randint(0, 3), p)
 
 
 def rand_elem(rng, ring, span=9):
-    return ring.element([LocalizedInt(rng.randint(-span, span), rng.randint(0, 2),
-                                      ring.prime)
+    return ring.element([zp(rng.randint(-span, span), rng.randint(0, 2), ring.prime)
                          for _ in range(ring.degree)])
 
 
-# -- LocalizedInt --------------------------------------------------------
+# -- Z[1/p]: the conductor-1 ring ------------------------------------------
 
 
 def test_localized_matches_fraction_arithmetic():
@@ -41,27 +62,27 @@ def test_localized_matches_fraction_arithmetic():
     for p in (2, 3, 5):
         for _ in range(300):
             a, b = rand_localized(rng, p), rand_localized(rng, p)
-            assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-            assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
-            assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-            assert (-a).as_fraction() == -a.as_fraction()
+            assert frac(a + b) == frac(a) + frac(b)
+            assert frac(a - b) == frac(a) - frac(b)
+            assert frac(a * b) == frac(a) * frac(b)
+            assert frac(-a) == -frac(a)
 
 
 def test_localized_normalization_invariant():
     rng = random.Random(102)
     for _ in range(200):
         x = rand_localized(rng, 3)
-        assert x.denom_exp == 0 or x.numerator % 3 != 0
-        if x.numerator == 0:
-            assert x.denom_exp == 0
+        assert x.exp == 0 or x.nums[0] % 3 != 0
+        if x.nums[0] == 0:
+            assert x.exp == 0
 
 
 def test_localized_equality_agrees_with_q():
-    assert LocalizedInt(6, 1, 2) == LocalizedInt(3, 0, 2)
-    assert LocalizedInt(4, 2, 2) == 1
-    assert LocalizedInt(1, 1, 2) != LocalizedInt(1, 2, 2)
+    assert zp(6, 1, 2) == zp(3, 0, 2)
+    assert zp(4, 2, 2) == zp(1, 0, 2) == get_ring(1, 2).one
+    assert zp(1, 1, 2) != zp(1, 2, 2)
     with pytest.raises(ValueError):
-        LocalizedInt(1, 0, 2) + LocalizedInt(1, 0, 3)
+        zp(1, 0, 2) + zp(1, 0, 3)
 
 
 def test_localized_units_are_signed_p_powers():
@@ -69,10 +90,10 @@ def test_localized_units_are_signed_p_powers():
     for p in (2, 3, 5):
         for _ in range(300):
             x = rand_localized(rng, p)
-            frac = x.as_fraction()
-            expected = frac != 0 and _is_p_power(abs(frac.numerator), p) \
-                and _is_p_power(frac.denominator, p)
-            assert is_unit_scalar(x) == expected
+            value = frac(x)
+            expected = value != 0 and _is_p_power(abs(value.numerator), p) \
+                and _is_p_power(value.denominator, p)
+            assert is_unit(x) == expected
 
 
 def _is_p_power(n, p):
@@ -81,26 +102,18 @@ def _is_p_power(n, p):
     return n == 1
 
 
-def is_unit_scalar(x):
-    return x.is_unit()
-
-
 def test_localized_inverse_and_exact_div():
+    # division in Z[1/2] by a unit is multiplication by its inverse
     rng = random.Random(104)
     for _ in range(200):
         x = rand_localized(rng, 2)
-        if x.is_unit():
-            assert (x * x.inverse()).as_fraction() == 1
+        if is_unit(x):
+            assert frac(x * inverse(x)) == 1
         y = rand_localized(rng, 2)
-        if y and (x.as_fraction() / y.as_fraction()).denominator & (
-                (x.as_fraction() / y.as_fraction()).denominator - 1) == 0:
-            # denominator a power of 2: the quotient stays in Z[1/2]
-            q = x.exact_div(y)
-            assert q.as_fraction() == x.as_fraction() / y.as_fraction()
+        if is_unit(y):
+            assert frac(x * inverse(y)) == frac(x) / frac(y)
     with pytest.raises(NotAUnitError):
-        LocalizedInt(3, 0, 2).inverse()
-    with pytest.raises(ValueError):
-        LocalizedInt(1, 0, 2).exact_div(LocalizedInt(3, 0, 2))
+        inverse(zp(3, 0, 2))
 
 
 # -- cyclotomic polynomials ----------------------------------------------
@@ -172,7 +185,7 @@ def _ring_and_elements(draw, count=3):
     coeff = st.one_of(st.integers(-3, 3), st.integers(-(1 << 60), 1 << 60))
 
     def element():
-        return ring.element([LocalizedInt(draw(coeff), draw(st.integers(0, 3)), p)
+        return ring.element([zp(draw(coeff), draw(st.integers(0, 3)), p)
                              for _ in range(ring.degree)])
 
     return ring, [element() for _ in range(count)]
@@ -202,22 +215,21 @@ def test_equal_values_with_different_denominators_keep_the_eq_hash_contract(ring
     ring, (x,) = ring_and_elements
     p = ring.prime
     raised = CycloElem(ring, [c * p ** k for c in x.nums], x.exp + k)
-    scaled = x * ring.from_int(p ** k) * ring.scalar(LocalizedInt(1, k, p))
-    for y in (raised, scaled, CycloRing(ring.conductor, p).element(list(x.coeffs))):
+    scaled = x * ring.from_int(p ** k) * lift_conductor(zp(1, k, p), ring.conductor)
+    rebuilt = CycloRing(ring.conductor, p).element([zp(c, x.exp, p) for c in x.nums])
+    for y in (raised, scaled, rebuilt):
         assert y == x and x == y
         assert hash(y) == hash(x)
         assert {x: "x"}[y] == "x"
 
 
 def test_localized_ints_over_different_primes_are_unequal_but_hashable_together():
-    # both hash to hash(5), so a set or dict compares them with ==
-    two, three = LocalizedInt(5, 0, 2), LocalizedInt(5, 0, 3)
-    assert hash(two) == hash(three) == hash(5)
+    two, three = zp(5, 0, 2), zp(5, 0, 3)
     assert two != three and not three == two
     assert len({two, three}) == 2 and {two: "two"}.get(three) is None
-    assert two == 5 and three == 5 and LocalizedInt(1, 1, 2) != LocalizedInt(1, 1, 3)
+    assert zp(1, 1, 2) != zp(1, 1, 3)
     for mixed in (lambda: two + three, lambda: two * three, lambda: two - three):
-        with pytest.raises(ValueError, match="mixed inverted primes"):
+        with pytest.raises(ValueError, match="different rings"):
             mixed()
 
 
@@ -225,13 +237,14 @@ def test_coeff_strings_is_a_new_list_of_the_coefficient_strings():
     from cyclofourier.exactring import _SHARED_INT_BOUND as K
     ring = get_ring(9, 3)
     ints = [-K - 1, -K, K, K + 1, 10 ** 40, -9]
-    fractions = [LocalizedInt(n, 2, 3) for n in ints[:-1]] + [LocalizedInt(9, 2, 3)]
+    fractions = [zp(n, 2, 3) for n in ints[:-1]] + [zp(9, 2, 3)]
     for x in (ring.element(ints), ring.element(fractions)):
+        expected = [fraction_string(c, 3) for c in coefficient_fractions(x)]
         first = x.coeff_strings()
-        assert first == [str(c) for c in x.coeffs]
+        assert first == expected
         first.clear()
         second = x.coeff_strings()
-        assert second is not first and second == [str(c) for c in x.coeffs]
+        assert second is not first and second == expected
     assert ring.element(fractions).coeff_strings()[:2] == [f"{-K - 1}/3^2", f"{-K}/3^2"]
     assert ring.element(fractions).coeff_strings()[-1] == "1"
 
@@ -325,10 +338,10 @@ def test_galois_conjugation():
 
 def test_norm_examples_and_multiplicativity():
     r4 = get_ring(4, 2)
-    assert norm(r4.one) == 1
-    assert norm(r4.zeta(1) - r4.one) == 2
+    assert norm(r4.one) == zp(1, 0, 2)
+    assert norm(r4.zeta(1) - r4.one) == zp(2, 0, 2)
     r3 = get_ring(3, 3)
-    assert norm(r3.zeta(1) - r3.zeta(2)) == 3
+    assert norm(r3.zeta(1) - r3.zeta(2)) == zp(3, 0, 3)
     rng = random.Random(108)
     for M in (3, 4, 5, 8, 12):
         ring = get_ring(M, 2)
@@ -350,8 +363,7 @@ def _multiplication_matrix_fractions(x):
     ring = x.ring
     cols = []
     for j in range(ring.degree):
-        col = (x * ring.zeta(j)).coeffs
-        cols.append([c.as_fraction() for c in col])
+        cols.append(coefficient_fractions(x * ring.zeta(j)))
     return [[cols[j][i] for j in range(ring.degree)] for i in range(ring.degree)]
 
 
@@ -386,7 +398,7 @@ def test_is_unit_against_multiplication_matrix_oracle():
                     and _is_p_power(det.denominator, p)
                 assert is_unit(x) == expected
                 if x:
-                    assert abs(det) == abs(norm(x).as_fraction())
+                    assert abs(det) == abs(frac(norm(x)))
 
 
 def test_root_of_cyclotomic_minus_one_is_unit():
@@ -403,7 +415,7 @@ def test_inverse_examples_and_roundtrip():
     r4 = get_ring(4, 2)
     assert inverse(r4.one) == r4.one
     assert inverse(r4.zeta(1)) == r4.zeta(3)
-    half = LocalizedInt(-1, 1, 2)
+    half = zp(-1, 1, 2)
     assert inverse(r4.zeta(1) - r4.one) == r4.element([half, half])
     rng = random.Random(110)
     for M in (3, 4, 8, 12):
@@ -423,9 +435,9 @@ def test_inverse_examples_and_roundtrip():
 
 def test_coeff_view_and_serialization():
     ring = get_ring(4, 2)
-    x = ring.element([LocalizedInt(3, 1, 2), LocalizedInt(1, 0, 2)])
+    x = ring.element([zp(3, 1, 2), zp(1, 0, 2)])
     assert x.coeff_strings() == ["3/2^1", "1"]
-    assert [c.as_fraction() for c in x.coeffs] == [Fraction(3, 2), Fraction(1)]
+    assert coefficient_fractions(x) == [Fraction(3, 2), Fraction(1)]
 
 
 def test_coeff_strings_match_the_localized_coefficients():
@@ -435,13 +447,15 @@ def test_coeff_strings_match_the_localized_coefficients():
             ring = get_ring(M, p)
             for _ in range(20):
                 # p-divisible, zero and negative numerators over denominators p^0 .. p^3
-                x = ring.element([LocalizedInt(rng.choice((0, 1, -1)) * rng.randint(0, 9)
-                                               * p ** rng.randint(0, 3), rng.randint(0, 3), p)
+                x = ring.element([zp(rng.choice((0, 1, -1)) * rng.randint(0, 9)
+                                     * p ** rng.randint(0, 3), rng.randint(0, 3), p)
                                   for _ in range(ring.degree)])
-                assert x.coeff_strings() == [str(c) for c in x.coeffs]
-                half = ring.scalar(LocalizedInt(1, rng.randint(0, 2), p))
+                assert x.coeff_strings() == [fraction_string(c, p)
+                                             for c in coefficient_fractions(x)]
+                half = lift_conductor(zp(1, rng.randint(0, 2), p), M)
                 y = ring.zeta(rng.randrange(M)) * half
-                assert y.coeff_strings() == [str(c) for c in y.coeffs]
+                assert y.coeff_strings() == [fraction_string(c, p)
+                                             for c in coefficient_fractions(y)]
     ring = get_ring(9, 3)
     x = CycloElem(ring, [0, 9, -3, 2, 27, -81], 2)
     assert x.coeff_strings() == ["0", "1", "-1/3^1", "2/3^2", "3", "-9"]
@@ -452,9 +466,35 @@ def test_conductor_one_ring_is_the_scalar_ring():
     assert ring.degree == 1
     assert ring.zeta(7) == ring.one
     x = ring.from_int(10)
-    assert norm(x) == 10
+    assert norm(x) == x == zp(10, 0, 5)
     assert not is_unit(x)
     assert is_unit(ring.from_int(25))
+
+
+def test_norm_and_scalars_land_in_the_conductor_one_ring():
+    rng = random.Random(111)
+    for M, p in ((1, 2), (4, 2), (9, 3), (12, 5)):
+        ring = get_ring(M, p)
+        for _ in range(10):
+            x = rand_elem(rng, ring, 4)
+            assert norm(x).ring is get_ring(1, p)
+            assert lift_conductor(norm(x), M) == math.prod(
+                (galois_conjugate(x, t) for t in range(1, M + 1) if math.gcd(t, M) == 1),
+                start=ring.one)
+        scalar = ring.element([zp(-6, 2, p)] + [0] * (ring.degree - 1))
+        assert scalar.as_scalar() == zp(-6, 2, p) and scalar.as_scalar().ring is get_ring(1, p)
+
+
+def test_element_takes_ints_and_values_of_z_one_over_p_only():
+    ring = get_ring(4, 3)
+    assert ring.element([zp(1, 1, 3), 2]) == ring.element([1, 6]) * inverse(ring.from_int(3))
+    for bad in (zp(1, 1, 2),  # a value of Z[1/2] in a ring over Z[1/3]
+                get_ring(2, 3).one,  # conductor 2 > 1
+                ring.zeta(1),
+                Fraction(1, 3),
+                1.0):
+        with pytest.raises(ValueError, match="is not a value of"):
+            ring.element([bad, 0])
 
 
 def test_mod_ring_elements_are_the_int_residues():

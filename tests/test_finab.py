@@ -9,6 +9,7 @@ from cyclofourier import (BudgetExceeded, DualElem, FinAbGroup, GroupElem, Group
                           PadicCircle, compose, dual_elements, dual_hom, element_index,
                           elements, enumerate_groups, enumerate_homs, hom_count,
                           identity_hom, pairing, pairing_numerators, zero_hom)
+from cyclofourier.finab import _require_sweep_hom_budget, _top_exponent
 
 
 def G(p, *exps):
@@ -275,3 +276,16 @@ def test_enumerate_homs_counts():
 def test_enumerate_homs_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_homs(G(2, 1, 1, 1, 1), G(2, 1, 1, 1, 1), limit=100))
+
+
+def test_sweep_hom_budget_is_the_largest_pair_without_listing_groups():
+    # among the groups of order <= p^s, (Z/p)^s to itself has the most homs, p^(s^2)
+    for p, max_order in ((2, 1), (2, 16), (2, 40), (3, 27), (3, 100), (5, 25)):
+        groups = enumerate_groups(p, max_order)
+        s = _top_exponent(p, max_order)
+        assert max(g.order for g in groups) == p ** s <= max_order < p ** (s + 1)
+        most = max(hom_count(V, W) for V in groups for W in groups)
+        assert most == p ** (s * s)
+        _require_sweep_hom_budget(p, max_order, most)
+        with pytest.raises(BudgetExceeded, match=f"exceed the bound {most - 1}$"):
+            _require_sweep_hom_budget(p, max_order, most - 1)

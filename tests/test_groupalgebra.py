@@ -6,13 +6,13 @@ import random
 
 import pytest
 
-from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, LocalizedInt,
-                          PadicCircle, algebra_one, basis_element, character_table,
+from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, PadicCircle,
+                          algebra_one, basis_element, character_table,
                           circle_points, convolution_matrix, convolve, determinant,
                           dual_elements, element_index, elements, enumerate_groups,
                           evaluate_at_characters, fourier_inverse, fourier_transform,
                           fourier_inversion_report, get_ring, is_unit,
-                          is_unit_group_algebra, is_unit_monoid_algebra,
+                          is_unit_group_algebra, lift_conductor, is_unit_monoid_algebra,
                           monoid_multiplication_matrix, pairing, standard_fourier_ring,
                           standard_ring, transform_matrix)
 from cyclofourier import groupalgebra
@@ -23,9 +23,13 @@ def G(p, *exps):
     return FinAbGroup(p, tuple(exps))
 
 
+def zp(n, e, p):
+    """n / p^e in Z[1/p], the conductor-1 ring."""
+    return CycloElem(get_ring(1, p), (n,), e)
+
+
 def rand_alg(rng, group, ring, span=3):
-    coeffs = [ring.element([LocalizedInt(rng.randint(-span, span), rng.randint(0, 1),
-                                         ring.prime)
+    coeffs = [ring.element([zp(rng.randint(-span, span), rng.randint(0, 1), ring.prime)
                             for _ in range(ring.degree)])
               for _ in range(group.order)]
     return AlgElem(group, ring, coeffs)
@@ -116,7 +120,7 @@ def test_fourier_inversion_on_basis_and_random():
     g22 = G(2, 1, 1)
     ring2 = get_ring(2, 2)
     for _ in range(20):
-        values = [ring2.element([LocalizedInt(rng.randint(-4, 4), rng.randint(0, 2), 2)])
+        values = [ring2.element([zp(rng.randint(-4, 4), rng.randint(0, 2), 2)])
                   for _ in range(4)]
         f = FunElem(g22, ring2, values)
         assert evaluate_at_characters(fourier_inverse(f)) == f
@@ -283,7 +287,7 @@ def _oracle_evaluate(x):
 
 def _oracle_transform(f):
     ring = f.ring
-    inv_order = ring.scalar(LocalizedInt(1, sum(f.group.exponents), ring.prime))
+    inv_order = lift_conductor(zp(1, sum(f.group.exponents), ring.prime), ring.conductor)
     out = []
     for v in elements(f.group):
         acc = ring.zero
@@ -298,13 +302,12 @@ def _differential_inputs(rng, group, ring):
     p, n, deg = ring.prime, group.order, ring.degree
 
     def dense():
-        return ring.element([LocalizedInt(rng.choice((-3, -2, -1, 1, 2, 3)),
-                                          rng.randint(0, 2), p) for _ in range(deg)])
+        return ring.element([zp(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(0, 2), p)
+                             for _ in range(deg)])
 
     def single():
         slots = [0] * deg
-        slots[rng.randrange(deg)] = LocalizedInt(rng.choice((-2, -1, 1, 2)),
-                                                 rng.randint(0, 2), p)
+        slots[rng.randrange(deg)] = zp(rng.choice((-2, -1, 1, 2)), rng.randint(0, 2), p)
         return ring.element(slots)
 
     yield [dense() for _ in range(n)]
@@ -510,8 +513,8 @@ def _single_term_columns_match(group, ring, exps):
     n = group.order
     zetas = [ring.zeta(u) for u in range(M)]
     # p^(-s) zeta^(-u), indexed by u
-    scaled = [ring.zeta(-u) * ring.scalar(LocalizedInt(1, sum(group.exponents), ring.prime))
-              for u in range(M)]
+    inv_order = lift_conductor(zp(1, sum(group.exponents), ring.prime), M)
+    scaled = [ring.zeta(-u) * inv_order for u in range(M)]
     for v, x in enumerate(elements(group)):
         got = evaluate_at_characters(basis_element(group, ring, x)).values
         if got != tuple(zetas[t] for t in exps[v]):
