@@ -25,13 +25,16 @@ group).  With T the exponent table and s = sum of the group's exponents
    prime power), evaluate_at_characters(sum_v B^v [v]) at l equals
    sum_v B^v zeta^T[v][l], and fourier_transform(sum_j B^j delta_j) at l
    equals p^(-s) sum_j B^j zeta^(-T[j][l]).  The expected values are summed
-   from the sparse power-basis supports of the zeta^u, not by the kernel.
-2. Bilinearity: T[0][.] = 0, T is symmetric, and
-   T[v + g_k][l] = T[v][l] + T[g_k][l] (mod M) for every generator g_k.
+   from the sparse power-basis supports of the zeta^u, not by the kernel:
+   the weights are added into one bucket per exponent u, and each bucket is
+   spread over the support of zeta^u.
+2. Bilinearity: every entry lies in [0, M), T[0][.] = 0, T is symmetric,
+   and T[v + g_k][l] = T[v][l] + T[g_k][l] (mod M) for every generator g_k,
+   one big-int operation per (v, k) on packed rows (below).
 3. Orthogonality: sum_l zeta^T[u][l] = |V| [u = 0] for every u, summed in
    exponent space and reduced once per u.
-4. One multi-term round trip each way on the fixed input
-   [0] + 2[g_1] + 3[g_2] + ... (delta functions likewise).
+4. One round trip each way on the single non-scalar term zeta [g_1], and
+   on zeta delta_(g_1) (zeta [0] for the trivial group).
 
 The kernel is a sum over input terms, so it is Z[zeta]-linear.  Step 1 is
 therefore the check on every single-term input, read off in base B (a
@@ -50,20 +53,53 @@ By steps 2 and 3, (F E)[w][v] = p^(-s) sum_l zeta^(T[v][l] - T[w][l]) =
 p^(-s) sum_l zeta^T[v-w][l] = [v = w], and E F = I the same way through
 the rows of the symmetric table.
 
+Step 2 packs row v into one integer P[v] = sum_l T[v][l] 2^(b l), with b
+bits per slot and 2^b >= 2M, and checks (v, k) by one
+divmod(P[v] + P[g_k] - P[w], M) for w = v + g_k: it passes iff the
+remainder is 0 and every slot of the quotient is 0 or 1.  This is exact.
+The digits d_l = T[v][l] + T[g_k][l] - T[w][l] lie in [-(M - 1), 2M - 2],
+so d_l = 0 (mod M) iff d_l = M q_l with q_l in {0, 1}, and then the
+quotient is sum_l q_l 2^(b l) with remainder 0.  Conversely, if the
+remainder is 0 and the quotient is sum_l q_l 2^(b l) with q_l in {0, 1},
+then sum_l (d_l - M q_l) 2^(b l) = 0 with every |d_l - M q_l| < 2M <= 2^b;
+and a digit sum sum_l c_l 2^(b l) = 0 with every |c_l| < 2^b forces every
+c_l = 0, since the lowest nonzero c_l0 would have to be a multiple of 2^b.
+The index w comes from mixed-radix arithmetic on the index v: adding g_k
+adds the k-th stride (the product of the factor orders after k) within
+each block of n_k strides, wrapping at the block's end.
+
 Step 4 is the only check, at run time, that the kernel is Z[zeta]-linear on
 inputs that are not scalars.  The packed inputs of step 1 are integer
 scalars, so step 1 reads each input's power-basis slot 0 only, and steps 2
 and 3 do not run the kernel: a kernel that ignored each term's slot k would
 pass steps 1-3 on every group, and be wrong on each group of exponent above
-2.  The round trips of step 4 transform the output of the other transform,
-whose terms fill every slot, so they reject it.  Step 4 uses a sparse
-input, O(|V|^2 * rank) per group; a dense input would cost
-O(|V|^2 * phi(M)), so the seeded dense-input oracle of the test suite
-(test_transforms_match_pairing_oracle) remains the dense guard.  Step 1
-costs O(|V|^2 * (1 + nnz)) additions of |V| log2(B)-bit integers plus |V|
-reductions per direction, with nnz the largest support of a zeta^u (at
-most p - 1 when M = p^e); step 2 costs O(|V|^2 * rank) and step 3
-O(|V|^2) plus |V| reductions.
+2 (there phi(M) >= 2, so zeta is not a scalar).  Step 4 still rejects both
+kernel mutants of the test suite:
+- a kernel that keeps only its first nonzero input, on every group of
+  order above 1: the second leg of the left round trip has a nonzero input
+  at every l, and from zeta at l = 0 alone it synthesizes p^(-s) zeta at
+  every v, not zeta [g_1]; the right round trip likewise;
+- a kernel that ignores the slot, in either direction or both, on every
+  group of exponent above 2.  It agrees with E and F on scalar inputs (step
+  1), and its second leg sees its input only through the coefficient sums,
+  so it returns F(y) (or E(y)) for a scalar vector y.  Were F(y) = zeta [g_1],
+  then y = E F y = E(zeta [g_1]), whose value at l = 0 is zeta, not a
+  scalar; the right round trip likewise, with p^(-s) zeta at v = 0.
+The input is zeta [g_1], not [g_1], so that the first leg also runs on a
+value that is not a scalar: a kernel that ignored the slot of a lone
+nonzero input only would pass steps 1-3 and a round trip on [g_1].
+The seeded dense-input oracle of the test suite
+(test_transforms_match_pairing_oracle) remains the dense guard.
+
+Cost per group, with n = |V|, r its rank and c the most power-basis terms
+of any zeta^u (c <= p - 1 when M = p^e), in terms that the steps touch:
+step 1 has, per direction, n^2 kernel terms and n^2 bucket additions of
+integers of n log2(B) bits, n M c support terms and n reductions; step 2
+has n^2 entry and symmetry checks each and r n divmods of n-slot integers
+(r n^2 slots); step 3 n^2 terms and n reductions; step 4, per direction,
+n + n^2 c terms and 2n reductions.  Reducing mod Phi_M costs at most M c
+when M = p^e, so the whole proof touches at most
+n (n (r + 2c + 7) + 9 M c + 2) terms (``_proof_terms``).
 
 When any step fails, the group is decided by ``_inversion_by_round_trips``
 (every basis vector, both ways), so verdicts and the first failing
@@ -72,14 +108,16 @@ When any step fails, the group is decided by ``_inversion_by_round_trips``
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from operator import add, mul, neg, sub
 from typing import Sequence
 
 from .chargauss import enumerate_characters, units_mod
-from .exactring import CycloElem, CycloRing, _strip_p, is_unit
-from .finab import (FinAbGroup, GroupElem, PadicCircle, _generator_indices, element_index,
-                    elements, pairing_numerators)
+from .exactring import CycloElem, CycloRing, _strip_p, get_ring, is_unit
+from .finab import (FinAbGroup, GroupElem, PadicCircle, _generator_indices, _top_exponent,
+                    element_index, elements, enumerate_groups, pairing_numerators)
 from .matrix import RingMatrix
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
 
@@ -99,7 +137,8 @@ def _zeta_exponent_table(group: FinAbGroup, ring: CycloRing) -> tuple[tuple[int,
     _check_conductor(group, ring)
     M = ring.conductor
     scale = M // group.exponent_value
-    return tuple(tuple(t * scale % M for t in row) for row in pairing_numerators(group))
+    # t < p^(e_1), so t * scale < M: no reduction
+    return tuple(tuple(map(scale.__mul__, row)) for row in pairing_numerators(group))
 
 
 class _GroupIndexed:
@@ -349,28 +388,24 @@ def is_unit_monoid_algebra(coeffs: Sequence[CycloElem], p: int, r: int) -> bool:
 def fourier_inversion_report(p: int, max_order: int, limit: int = DEFAULT_BUDGET) -> VerifyReport:
     """Both composites of evaluation and synthesis are the identity, per group.
 
-    Each group is proven by the four steps of the module docstring, in
-    O(|V|^2 * (rank + nnz)) plus O(|V|) reductions mod Phi_M; a group on
-    which any step fails is decided by the per-basis-vector round trips of
-    ``_inversion_by_round_trips``, which supply the verdicts and the first
-    failing index.  BudgetExceeded is raised before any arithmetic when sum
-    over groups of |V|^2 * M exceeds ``limit``; that estimate charges a
-    length-M sum to every (input, output) pair, more than the proof does.
-    Its term for Z/p^s alone, p^(3s) for the largest order p^s, is checked
-    first, before any group is listed.
+    Each group is proven by the four steps of the module docstring; a group
+    on which any step fails is decided by the per-basis-vector round trips
+    of ``_inversion_by_round_trips``, which supply the verdicts and the first
+    failing index.  BudgetExceeded is raised before any arithmetic when the
+    sum over groups of ``_proof_terms``, an upper bound on the terms the
+    proof touches, exceeds ``limit``.  Its term for Z/p^s alone, p^s the
+    largest order, is checked first, before any group is listed.
     """
-    from .finab import _top_exponent, enumerate_groups
-
     s = _top_exponent(p, max_order)
-    if p ** (3 * s) > limit:
+    top = _proof_terms(FinAbGroup(p, (s,) if s else ()))
+    if top > limit:
         raise BudgetExceeded(f"Fourier sweep of p = {p} up to order {max_order}: "
-                             f"Z/{p}^{s} alone has |V|^2 * M = {p ** (3 * s)}, "
-                             f"over the bound {limit}")
+                             f"Z/{p}^{s} alone has {top} proof terms, over the bound {limit}")
     groups = enumerate_groups(p, max_order)
-    cost = sum(g.order ** 2 * g.exponent_value for g in groups)
+    cost = sum(map(_proof_terms, groups))
     if cost > limit:
         raise BudgetExceeded(f"Fourier sweep of p = {p} up to order {max_order}: "
-                             f"sum of |V|^2 * M is {cost}, over the bound {limit}")
+                             f"its proof terms sum to {cost}, over the bound {limit}")
     report = VerifyReport("verify-fourier", {"p": p, "max_order": max_order})
     for group in groups:
         ring = standard_fourier_ring(group)
@@ -382,6 +417,13 @@ def fourier_inversion_report(p: int, max_order: int, limit: int = DEFAULT_BUDGET
         report.add(f"fourier-{name}-synthesis-after-evaluation", f"V={name}", *left)
         report.add(f"fourier-{name}-evaluation-after-synthesis", f"V={name}", *right)
     return report
+
+
+def _proof_terms(group: FinAbGroup) -> int:
+    """n (n (r + 2c + 7) + 9 M c + 2), c = p - 1: the cost line of the module docstring."""
+    n = group.order
+    c = group.prime - 1
+    return n * (n * (len(group.exponents) + 2 * c + 7) + 9 * group.exponent_value * c + 2)
 
 
 def _inversion_proven(group: FinAbGroup, ring: CycloRing) -> bool:
@@ -419,27 +461,61 @@ def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, exps) -> bool:
 
 
 def _packed_sum(ring: CycloRing, weights, supports, column, exp: int) -> CycloElem:
-    """p^(-exp) sum_v weights[v] zeta^column[v], summed support by support (no reduction)."""
-    acc = [0] * ring.degree
+    """p^(-exp) sum_v weights[v] zeta^column[v], bucketed by exponent (no reduction).
+
+    The weights are added into one bucket per exponent u, and each bucket is
+    spread over the power-basis support of zeta^u.
+    """
+    buckets = [0] * ring.conductor
     for w, u in zip(weights, column):
-        for k, c in supports[u]:
-            acc[k] += w * c
+        buckets[u] += w
+    acc = [0] * ring.degree
+    for support, total in zip(supports, buckets):
+        if total:
+            for k, c in support:
+                acc[k] += total * c
     return CycloElem(ring, acc, exp)
 
 
+# array type codes by item size in bytes: the slots of a packed row
+_ARRAY_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
 def _table_is_bilinear(group: FinAbGroup, exps, M: int) -> bool:
-    """Step 2: zero row, symmetry, and additivity along each generator, mod M."""
-    if any(exps[0]) or any(col != row for col, row in zip(zip(*exps), exps)):
+    """Step 2: entries in [0, M), zero row, symmetry, and additivity along each generator.
+
+    Additivity is one divmod per (v, k) on rows packed into b-bit slots,
+    2^b >= 2M; the module docstring proves it exact.
+    """
+    if (any(exps[0]) or any(min(row) < 0 or max(row) >= M for row in exps)
+            or any(col != row for col, row in zip(zip(*exps), exps))):
         return False
-    els = elements(group)
-    for g in _generator_indices(group):
-        step = els[g]
-        row_g = exps[g]
-        for v, x in enumerate(els):
-            row_w = exps[element_index(group, (x + step).coords)]
-            if any((a + b - c) % M for a, b, c in zip(exps[v], row_g, row_w)):
+    code = _ARRAY_CODES[min(size for size in _ARRAY_CODES if 256 ** size >= 2 * M)]
+    packed = [int.from_bytes(array(code, row).tobytes(), sys.byteorder) for row in exps]
+    ones = int.from_bytes(array(code, [1] * len(exps)).tobytes(), sys.byteorder)
+    for shift in _generator_shifts(group):
+        row_g = packed[shift[0]]
+        for row_v, w in zip(packed, shift):
+            quotient, remainder = divmod(row_v + row_g - packed[w], M)
+            if remainder or quotient | ones != ones:
                 return False
     return True
+
+
+def _generator_shifts(group: FinAbGroup) -> list[list[int]]:
+    """shifts[k][v]: the index of v + g_k, by mixed-radix arithmetic on the index v."""
+    n = group.order
+    shifts = []
+    block = n
+    for size in group.factor_orders:
+        stride = block // size
+        shift = []
+        for start in range(0, n, block):
+            shift.extend(range(start + stride, start + block))
+            shift.extend(range(start, start + stride))
+        shifts.append(shift)
+        block = stride
+    return shifts
 
 
 def _rows_are_orthogonal(ring: CycloRing, exps) -> bool:
@@ -449,11 +525,9 @@ def _rows_are_orthogonal(ring: CycloRing, exps) -> bool:
 
 
 def _fixed_round_trips_hold(group: FinAbGroup, ring: CycloRing) -> bool:
-    """Step 4: both composites on [0] + 2[g_1] + 3[g_2] + ... (g_k the k-th generator)."""
+    """Step 4: both composites on zeta [g_1] and zeta delta_(g_1) (g_1 = 0 when V = 0)."""
     coeffs = [ring.zero] * group.order
-    coeffs[0] = ring.one
-    for k, idx in enumerate(_generator_indices(group)):
-        coeffs[idx] = ring.from_int(k + 2)
+    coeffs[(_generator_indices(group) or [0])[0]] = ring.zeta(1)
     x = AlgElem(group, ring, coeffs)
     f = FunElem(group, ring, coeffs)
     return (fourier_inverse(evaluate_at_characters(x)) == x
@@ -481,6 +555,4 @@ def _inversion_by_round_trips(group: FinAbGroup, ring: CycloRing):
 
 def standard_fourier_ring(group: FinAbGroup) -> CycloRing:
     """Smallest ring for Fourier work over the group: conductor = exponent."""
-    from .exactring import get_ring
-
     return get_ring(max(group.exponent_value, 1), group.prime)

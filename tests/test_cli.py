@@ -337,8 +337,11 @@ def test_fourier_respects_the_budget(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "fourier", "--p", "2", "--max-order", "4096")
     assert time.perf_counter() - start < 1.0
     assert code == 3 and out == "" and err.startswith("budget exceeded: ")
-    # sum over the groups of |V|^2 * M, M the exponent (the ring's conductor)
-    estimate = sum(g.order ** 2 * g.exponent_value for g in enumerate_groups(3, 81))
+    # sum over the groups of n (n (r + 2c + 7) + 9 M c + 2): n the order, r the rank,
+    # M the exponent (the ring's conductor) and c = p - 1
+    estimate = sum(n * (n * (len(g.exponents) + 2 * 2 + 7) + 9 * g.exponent_value * 2 + 2)
+                   for g in enumerate_groups(3, 81) for n in [g.order])
+    assert estimate == 680_338
     argv = ("verify", "fourier", "--p", "3", "--max-order", "81")
     monkeypatch.setenv("CYCLO_BUDGET", str(estimate))
     code, out, _ = run_cli(capsys, *argv)

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, PadicCircle,
                           algebra_one, basis_element, character_table,
@@ -16,7 +18,9 @@ from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, Pa
                           monoid_multiplication_matrix, pairing, standard_fourier_ring,
                           standard_ring, transform_matrix)
 from cyclofourier import groupalgebra
+from cyclofourier.finab import _generator_indices, pairing_numerators
 from cyclofourier.isoverify import CircleFunction, random_table_function
+from cyclofourier.report import BudgetExceeded
 
 
 def G(p, *exps):
@@ -398,13 +402,18 @@ def _keep_the_first_term(monkeypatch):
     monkeypatch.setattr(groupalgebra, "_transform", first_only)
 
 
-def _ignore_the_slot(monkeypatch):
-    """Patch the kernel to put each term at zeta^(sign <i, j>), whatever its slot k."""
+def _ignore_the_slot(monkeypatch, signs=(1, -1)):
+    """Patch the kernel to put each term at zeta^(sign <i, j>), whatever its slot k.
+
+    Only the directions whose sign is in ``signs`` are patched.
+    """
     real = groupalgebra._transform
 
     def slotless(group, ring, items, sign, extra_exp):
-        flat = [CycloElem(ring, [sum(c.nums)] + [0] * (ring.degree - 1), c.exp) for c in items]
-        return real(group, ring, flat, sign, extra_exp)
+        if sign in signs:
+            items = [CycloElem(ring, [sum(c.nums)] + [0] * (ring.degree - 1), c.exp)
+                     for c in items]
+        return real(group, ring, items, sign, extra_exp)
 
     monkeypatch.setattr(groupalgebra, "_transform", slotless)
 
@@ -470,8 +479,8 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
         assert not groupalgebra._rows_are_orthogonal(ring9, degenerate)
     # Steps 1 and 4: a kernel that keeps only its first nonzero input is right on
     # every single-term input, which is all the per-input check of step 1 looks
-    # at; the packed input of step 1 has |V| terms and the round trips of step 4
-    # have rank + 1, so both reject it.
+    # at; the packed input of step 1 has |V| terms, and so has the second leg of
+    # each round trip of step 4, so both reject it.
     with monkeypatch.context() as m:
         _keep_the_first_term(m)
         assert _single_term_columns_match(g, ring, table)
@@ -496,12 +505,50 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
                                                   groupalgebra._zeta_exponent_table(z4, ring4))
 
 
+def test_step_four_rejects_a_kernel_that_ignores_the_slot_only_in_synthesis(monkeypatch):
+    # Synthesis reads only the coefficient sum of each input; evaluation is right.
+    # Step 1's inputs are integer scalars, so it passes; step 4 synthesizes the
+    # non-scalar values zeta^(1 + <g_1, l>) and rejects it wherever zeta is not a
+    # scalar, i.e. on every group of exponent above 2.
+    with monkeypatch.context() as m:
+        _ignore_the_slot(m, signs=(-1,))
+        for g in _SMALL_GROUPS:
+            ring = standard_fourier_ring(g)
+            assert groupalgebra._kernel_columns_match(
+                g, ring, groupalgebra._zeta_exponent_table(g, ring)), g
+            assert groupalgebra._fixed_round_trips_hold(g, ring) == (g.exponent_value <= 2), g
+
+
+def test_step_four_rejects_a_kernel_that_ignores_the_slot_of_a_lone_input(monkeypatch):
+    # A kernel right on every input with two or more nonzero terms, and on lone
+    # scalars: step 1's packed inputs and a round trip on [g_1] would both pass
+    # it, so step 4 transforms zeta [g_1], which it gets wrong when zeta is not a
+    # scalar.
+    real = groupalgebra._transform
+
+    def lone_slotless(group, ring, items, sign, extra_exp):
+        if sum(1 for c in items if c) == 1:
+            items = [CycloElem(ring, [sum(c.nums)] + [0] * (ring.degree - 1), c.exp)
+                     for c in items]
+        return real(group, ring, items, sign, extra_exp)
+
+    monkeypatch.setattr(groupalgebra, "_transform", lone_slotless)
+    for g in _SMALL_GROUPS:
+        ring = standard_fourier_ring(g)
+        assert groupalgebra._kernel_columns_match(
+            g, ring, groupalgebra._zeta_exponent_table(g, ring)), g
+        assert groupalgebra._fixed_round_trips_hold(g, ring) == (g.exponent_value <= 2), g
+
+
 def test_fourier_proof_at_order_243(monkeypatch):
-    # The 19 groups of order up to 3^5, at exactly their estimate sum |V|^2 * M.
+    # The 19 groups of order up to 3^5, at exactly their estimate: the sum of
+    # n (n (r + 2c + 7) + 9 M c + 2) is 8,156,719, under the default budget.
     monkeypatch.setattr(groupalgebra, "_inversion_by_round_trips", _fallback_entered)
-    report = fourier_inversion_report(3, 243, limit=24_436_351)
+    report = fourier_inversion_report(3, 243, limit=8_156_719)
     assert report.failed == 0
     assert len(report.checks) == 2 * 19
+    with pytest.raises(BudgetExceeded, match="sum to 8156719, over the bound 8156718"):
+        fourier_inversion_report(3, 243, limit=8_156_718)
 
 
 # -- step 1 on one packed input against the check of every single-term input --
@@ -610,3 +657,100 @@ def test_packed_step_one_rejects_a_synthesis_without_the_sign(monkeypatch):
         expected = g.exponent_value <= 2
         verdicts = _step_one_verdicts(g, ring, groupalgebra._zeta_exponent_table(g, ring))
         assert verdicts == (expected, expected), g
+
+
+# -- step 2 on packed rows against the per-entry check ----------------------
+
+
+def _additivity_sums(group, exps):
+    """Every a + b - c = T[v][l] + T[g_k][l] - T[v + g_k][l], over (v, k, l)."""
+    els = elements(group)
+    return {a + b - c for g in _generator_indices(group) for v, x in enumerate(els)
+            for a, b, c in zip(exps[v], exps[g], exps[element_index(group, (x + els[g]).coords)])}
+
+
+def _per_entry_is_bilinear(group, exps, M):
+    """Zero row, symmetry, and (a + b - c) % M == 0 entry by entry along each generator."""
+    if any(exps[0]) or any(col != row for col, row in zip(zip(*exps), exps)):
+        return False
+    return not any(d % M for d in _additivity_sums(group, exps))
+
+
+_STEP_TWO_GROUPS = [g for p, bound in ((2, 64), (3, 81), (5, 25), (7, 49))
+                    for g in enumerate_groups(p, bound)]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.data())
+def test_packed_step_two_agrees_with_the_per_entry_check(data):
+    # A multiple of the pairing, scaled into Z/M (the zero form when k = 0), with
+    # a few symmetric entries overwritten, often by 0 or M - 1; p = 2 reaches
+    # M = 128, where 8-bit slots are just wide enough (2^8 = 2M).
+    group = data.draw(st.sampled_from(_STEP_TWO_GROUPS))
+    scale = data.draw(st.integers(1, 4))
+    M = group.exponent_value * scale
+    k = data.draw(st.integers(0, M - 1))
+    table = [[k * t * scale % M for t in row] for row in pairing_numerators(group)]
+    n = group.order
+    entry = st.one_of(st.just(0), st.just(M - 1), st.integers(0, M - 1))
+    for v, l, value in data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                                    st.integers(0, n - 1), entry), max_size=3)):
+        table[v][l] = table[l][v] = value
+    table = tuple(map(tuple, table))
+    assert groupalgebra._table_is_bilinear(group, table, M) == _per_entry_is_bilinear(
+        group, table, M)
+
+
+def _overwrite(table, v, l, value):
+    rows = [list(row) for row in table]
+    rows[v][l] = rows[l][v] = value
+    return tuple(map(tuple, rows))
+
+
+def test_packed_step_two_on_edge_sums_and_out_of_range_entries():
+    z9 = G(3, 2)  # g_1 = 1, so row 2 is row 1 + row 1
+    ring = get_ring(9, 3)
+    table = groupalgebra._zeta_exponent_table(z9, ring)
+    zero = ((0,) * 9,) * 9
+    cases = [(table, {0, 9}),  # a + b wraps past M
+             (_overwrite(zero, 2, 5, 8), {-8}),  # 0 + 0 - 8 = -(M - 1)
+             (_overwrite(zero, 1, 5, 8), {16})]  # 8 + 8 - 0 = 2M - 2
+    for exps, edges in cases:
+        assert edges <= _additivity_sums(z9, exps)
+        assert groupalgebra._table_is_bilinear(z9, exps, 9) == _per_entry_is_bilinear(
+            z9, exps, 9) == (exps is table)
+    # An entry of M for 0, or of -1 for M - 1, is the same residue: the per-entry
+    # check accepts it, the packed check rejects it.
+    assert table[3][3] == 0 and table[1][8] == 8
+    for exps in (_overwrite(table, 3, 3, 9), _overwrite(table, 1, 8, -1)):
+        assert _per_entry_is_bilinear(z9, exps, 9)
+        assert not groupalgebra._table_is_bilinear(z9, exps, 9)
+    # Slots need 2^b >= 2M, not only M: along g_1 = 1 in Z/4 with M = 256, row
+    # 1 + row 1 - row 2 of this table has the digits (0, 256, -1, 256), which
+    # 8-bit slots would read as 256^4 = M * 256^3 and pass.
+    z4 = G(2, 2)
+    carried = ((0, 0, 0, 0), (0, 128, 0, 128), (0, 0, 1, 0), (0, 128, 0, 128))
+    assert -1 in _additivity_sums(z4, carried)
+    assert not _per_entry_is_bilinear(z4, carried, 256)
+    assert not groupalgebra._table_is_bilinear(z4, carried, 256)
+
+
+def test_generator_shifts_follow_the_group_law():
+    for g in _SMALL_GROUPS:
+        els = elements(g)
+        gens = _generator_indices(g)
+        shifts = groupalgebra._generator_shifts(g)
+        assert len(shifts) == len(gens), g
+        for shift, k in zip(shifts, gens):
+            assert shift == [element_index(g, (x + els[k]).coords) for x in els], g
+
+
+def test_exponent_table_in_a_conductor_above_the_exponent():
+    # standard_ring(3, 2) has conductor 18, so a group of exponent 9 is scaled by 2
+    # and one of exponent 3 by 6.
+    ring = standard_ring(3, 2)
+    assert ring.conductor == 18
+    for g in (G(3, 2), G(3, 1, 1), G(3, 2, 1)):
+        scale = 18 // g.exponent_value
+        assert groupalgebra._zeta_exponent_table(g, ring) == tuple(
+            tuple(t * scale % 18 for t in row) for row in pairing_numerators(g)), g
