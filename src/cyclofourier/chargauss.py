@@ -213,7 +213,7 @@ def _gauss_sum_lower(chi: Character, u_prime: int) -> CycloElem:
                           for t, v in zip(units_mod(N_low), chi.value_row())])
 
 
-def check_gauss_identities(p: int, r: int, ring: CycloRing | None = None) -> VerifyReport:
+def check_gauss_identities(p: int, r: int) -> VerifyReport:
     """Exhaustive Gauss-sum identity check at level N = p^r.
 
     For every character chi and every u in [0, N): primitive chi with u
@@ -228,8 +228,7 @@ def check_gauss_identities(p: int, r: int, ring: CycloRing | None = None) -> Ver
     = +-N(G(chi, eps)), so it is a unit exactly when G(chi, eps) is; if it
     differs from the expected value, the check fails either way.
     """
-    if ring is None:
-        ring = standard_ring(p, r)
+    ring = standard_ring(p, r)
     N = p ** r
     report = VerifyReport("verify-gauss", {"p": p, "r": r, "conductor": ring.conductor})
     characters = enumerate_characters(p, r, ring)

@@ -1,12 +1,16 @@
 """Command-line interface: sweeps, tables, and decision procedures.
 
+``verify CHECK`` runs one of the checks fourier, gauss, iso, criterion-oracle
+and naturality.  Its flags follow the check name: --p, --format and --output,
+then the flags that check reads and no others.
+
 Exit codes: 0 when the run succeeded and all checks passed (or a decision
-was rendered), 1 when checks failed, 2 on usage errors (a flag out of range,
-an unwritable ``--output``), 3 when a brute-force budget was exceeded, 4 when
-an internal self-check failed or any other ``ValueError`` escaped (an
-arithmetic or construction bug, not a verdict), 141 (128 + SIGPIPE) when the
-reader closed stdout before the output was written.  All randomness flows from
-one seed, so identical configurations give byte-identical reports.
+was rendered), 1 when checks failed, 2 on usage errors (a flag out of range
+or not read by the command, an unwritable ``--output``), 3 when a brute-force
+budget was exceeded, 4 when an internal self-check failed or any other
+``ValueError`` escaped (an arithmetic or construction bug, not a verdict), 141
+(128 + SIGPIPE) when the reader closed stdout before the output was written.
+All randomness flows from one seed: equal configurations give equal bytes.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from .diagonalize import (SplitVerificationError, _require_cyclotomic_budget,
                           decide_diag_cyclic, decide_diag_group, vandermonde_iso)
 from .exactring import _is_prime, cyclotomic_polynomial, is_unit
 from .groupalgebra import fourier_inversion_report
-from .isoverify import (CircleFunction, criterion_vs_determinant, natural_iso_sweep,
-                        naturality_sweep)
+from .isoverify import criterion_vs_determinant, natural_iso_sweep, naturality_sweep
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport, _render
 
 DEFAULT_SEED = 1729
@@ -107,12 +110,6 @@ def _emit_report(report: VerifyReport, fmt: str, output: str | None) -> int:
     return 0 if report.failed == 0 else 1
 
 
-def _alpha_from_name(name: str, p: int) -> CircleFunction:
-    if name in ("tpzc", "spike"):
-        return CircleFunction.spike(p)
-    raise UsageError(f"unknown alpha function {name!r}")
-
-
 def cmd_phi(args) -> int:
     n = _int_at_least("--n", args.n)
     _require_cyclotomic_budget(n, _budget_from_env())
@@ -125,39 +122,42 @@ def cmd_phi(args) -> int:
     return 0
 
 
+def _max_order(args, default: int) -> int:
+    """--max-order, or the check's default for the prime when it is not given."""
+    return default if args.max_order is None else _int_at_least("--max-order", args.max_order)
+
+
 def cmd_verify(args) -> int:
+    """One check: --p, CYCLO_BUDGET and the flags of that check alone are validated."""
     p = _prime("--p", args.p)
-    max_r = _int_at_least("--max-r", args.max_r)
-    r = _int_at_least("--r", args.r)
-    samples = _int_at_least("--samples", args.samples)
-    budget = _budget_from_env()
-    extra_groups = _int_at_least("--extra-groups", args.extra_groups, low=0)
-    max_order = (_DEFAULT_MAX_ORDER.get(p, p ** 3) if args.max_order is None
-                 else _int_at_least("--max-order", args.max_order))
-    if args.what == "fourier":
-        report = fourier_inversion_report(p, max_order, limit=budget)
-    elif args.what == "gauss":
-        _require_gauss_budget(p, max_r, budget)
+    if args.check == "gauss":
+        max_r = _int_at_least("--max-r", args.max_r)
+        _require_gauss_budget(p, max_r, _budget_from_env())
         report = VerifyReport("verify-gauss", {"p": p, "max_r": max_r})
         for level in range(1, max_r + 1):
             report.extend(check_gauss_identities(p, level).checks)
-    elif args.what == "iso":
-        fn = _alpha_from_name(args.alpha, p)
-        if args.natural_max_order is not None:
-            natural = _int_at_least("--natural-max-order", args.natural_max_order)
-        else:
-            natural = min(max_order, _DEFAULT_NATURAL_ORDER.get(p, 1))
-        report = natural_iso_sweep(p, max_order, hom_order_bound=natural, fn=fn,
-                                   dump_matrix=args.dump_matrix, limit=budget)
-    elif args.what == "criterion-oracle":
+    elif args.check == "criterion-oracle":
+        r = _int_at_least("--r", args.r)
+        samples = _int_at_least("--samples", args.samples)
+        budget = _budget_from_env()
+        extra_groups = _int_at_least("--extra-groups", args.extra_groups, low=0)
         report = criterion_vs_determinant(p, r, samples, args.seed,
                                           extra_groups=extra_groups, limit=budget)
-    elif args.what == "naturality":
-        if args.max_order is None:
-            max_order = min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16)
-        report = naturality_sweep(p, max_order, _alpha_from_name(args.alpha, p), limit=budget)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.what)
+    elif args.check == "naturality":
+        budget = _budget_from_env()
+        max_order = _max_order(args, min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16))
+        report = naturality_sweep(p, max_order, limit=budget)
+    else:
+        budget = _budget_from_env()
+        max_order = _max_order(args, _DEFAULT_MAX_ORDER.get(p, p ** 3))
+        if args.check == "fourier":
+            report = fourier_inversion_report(p, max_order, limit=budget)
+        else:
+            natural = (min(max_order, _DEFAULT_NATURAL_ORDER.get(p, 1))
+                       if args.natural_max_order is None
+                       else _int_at_least("--natural-max-order", args.natural_max_order))
+            report = natural_iso_sweep(p, max_order, hom_order_bound=natural,
+                                       dump_matrix=args.dump_matrix, limit=budget)
     return _emit_report(report, args.format, args.output)
 
 
@@ -166,14 +166,14 @@ def cmd_diag(args) -> int:
     m = _int_at_least("--modulus", args.modulus, low=2)
     if args.group is not None:
         orders = [_int_at_least("--group", tok) for tok in args.group.split(",") if tok]
-        verdict = decide_diag_group(orders, m, budget=budget)
+        verdict = decide_diag_group(orders, m, limit=budget)
         n = math.lcm(*orders) if orders else 1
     else:
         n = _int_at_least("--n", args.n)
-        verdict = decide_diag_cyclic(n, m, budget=budget)
+        verdict = decide_diag_cyclic(n, m, limit=budget)
     payload = verdict.to_json()
     if args.emit_iso and verdict.decision:
-        split = vandermonde_iso(n, m, verdict.witness, budget=budget)
+        split = vandermonde_iso(n, m, verdict.witness, limit=budget)
         payload["points"] = list(split.points)
         payload["matrix"] = split.matrix.to_json()
     text = json.dumps(payload)
@@ -242,22 +242,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_phi.add_argument("--output")
     p_phi.set_defaults(func=cmd_phi)
 
-    p_verify = sub.add_parser("verify", help="run a verification sweep")
-    p_verify.add_argument("what", choices=["fourier", "gauss", "iso",
-                                           "criterion-oracle", "naturality"])
-    p_verify.add_argument("--p", type=int, default=2)
-    p_verify.add_argument("--max-order", type=int, default=None)
-    p_verify.add_argument("--max-r", type=int, default=3)
-    p_verify.add_argument("--r", type=int, default=2)
-    p_verify.add_argument("--samples", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_verify.add_argument("--extra-groups", type=int, default=2)
-    p_verify.add_argument("--alpha", default="tpzc",
-                          help="tpzc (alias spike): 2 at the points 1/p^s, 1 elsewhere")
-    p_verify.add_argument("--natural-max-order", type=int, default=None)
-    p_verify.add_argument("--dump-matrix", action="store_true")
-    p_verify.add_argument("--format", choices=["text", "json"], default="json")
-    p_verify.add_argument("--output")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, default=2)
+    common.add_argument("--format", choices=["text", "json"], default="json")
+    common.add_argument("--output")
+    p_verify = sub.add_parser("verify", help="run one verification check")
+    checks = p_verify.add_subparsers(dest="check", required=True)
+    p_fourier = checks.add_parser("fourier", parents=[common], help="Fourier inversion")
+    p_fourier.add_argument("--max-order", type=int, default=None)
+    p_gauss = checks.add_parser("gauss", parents=[common], help="Gauss-sum identities")
+    p_gauss.add_argument("--max-r", type=int, default=3)
+    p_iso = checks.add_parser("iso", parents=[common],
+                              help="the natural isomorphism built from the spike")
+    p_iso.add_argument("--max-order", type=int, default=None)
+    p_iso.add_argument("--natural-max-order", type=int, default=None)
+    p_iso.add_argument("--dump-matrix", action="store_true")
+    p_criterion = checks.add_parser("criterion-oracle", parents=[common],
+                                    help="invertibility criterion against determinants")
+    p_criterion.add_argument("--r", type=int, default=2)
+    p_criterion.add_argument("--samples", type=int, default=100)
+    p_criterion.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_criterion.add_argument("--extra-groups", type=int, default=2)
+    p_naturality = checks.add_parser("naturality", parents=[common], help="naturality squares")
+    p_naturality.add_argument("--max-order", type=int, default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_diag = sub.add_parser("diag", help="diagonalizability of a group algebra over Z/m")
@@ -280,9 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise UsageError("unrecognized arguments: " + " ".join(unread))
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -33,8 +33,8 @@ class DiagVerdict:
         return {"decision": False, "reason": self.reason}
 
 
-def _require_cyclotomic_budget(n: int, budget: int) -> None:
-    """BudgetExceeded when 5 n^2, a bound on the steps of cyclotomic_polynomial(n), exceeds budget.
+def _require_cyclotomic_budget(n: int, limit: int) -> None:
+    """BudgetExceeded when 5 n^2, a bound on the steps of cyclotomic_polynomial(n), exceeds limit.
 
     Each Phi_d, d | n, writes the d + 1 coefficients of X^d - 1 and divides
     them by Phi_e for the proper divisors e of d, at most (d + 1)(phi(e) + 1)
@@ -42,16 +42,16 @@ def _require_cyclotomic_budget(n: int, budget: int) -> None:
     <= 2d - 2, Phi_d takes at most (d + 1)(2d - 1) <= 3 d^2 steps, and all of
     them at most 3 sum_(d | n) d^2 < 3 (pi^2 / 6) n^2 < 5 n^2.
     """
-    if 5 * n * n > budget:
-        raise BudgetExceeded(f"building Phi_{n} ({5 * n * n} steps) exceeds the budget {budget}")
+    if 5 * n * n > limit:
+        raise BudgetExceeded(f"building Phi_{n} ({5 * n * n} steps) exceeds the budget {limit}")
 
 
-def decide_diag_cyclic(n: int, m: int, budget: int = DEFAULT_BUDGET) -> DiagVerdict:
+def decide_diag_cyclic(n: int, m: int, limit: int = DEFAULT_BUDGET) -> DiagVerdict:
     """Does the algebra of Z/n over Z/m split completely?
 
     True iff n is invertible mod m and the n-th cyclotomic polynomial has
     a root mod m; the root search is exhaustive over Z/m.  BudgetExceeded
-    is raised before Phi_n is built when its 5 n^2 steps exceed ``budget``,
+    is raised before Phi_n is built when its 5 n^2 steps exceed ``limit``,
     and before the search when m * phi(n) does.
     """
     if n < 1:
@@ -60,9 +60,9 @@ def decide_diag_cyclic(n: int, m: int, budget: int = DEFAULT_BUDGET) -> DiagVerd
         raise ValueError("modulus must be >= 2")
     if math.gcd(n, m) != 1:
         return DiagVerdict(False, None, REASON_NOT_INVERTIBLE)
-    _require_cyclotomic_budget(n, budget)
+    _require_cyclotomic_budget(n, limit)
     poly = cyclotomic_polynomial(n)
-    if m * max(poly.degree, 1) > budget:
+    if m * max(poly.degree, 1) > limit:
         raise BudgetExceeded(f"root search over Z/{m} exceeds the budget")
     for xi in range(m):
         if poly.evaluate(xi, mod=m) == 0:
@@ -70,12 +70,12 @@ def decide_diag_cyclic(n: int, m: int, budget: int = DEFAULT_BUDGET) -> DiagVerd
     return DiagVerdict(False, None, REASON_NO_ROOT)
 
 
-def decide_diag_group(orders: list[int], m: int, budget: int = DEFAULT_BUDGET) -> DiagVerdict:
+def decide_diag_group(orders: list[int], m: int, limit: int = DEFAULT_BUDGET) -> DiagVerdict:
     """Same decision for a direct sum of cyclic groups: reduce to the exponent."""
     if any(o < 1 for o in orders):
         raise ValueError("cyclic orders must be >= 1")
     n = math.lcm(*orders) if orders else 1
-    return decide_diag_cyclic(n, m, budget=budget)
+    return decide_diag_cyclic(n, m, limit=limit)
 
 
 class SplitVerificationError(RuntimeError):
@@ -89,18 +89,18 @@ class VandermondeSplit:
     det: int
 
 
-def vandermonde_iso(n: int, m: int, xi: int, budget: int = DEFAULT_BUDGET) -> VandermondeSplit:
+def vandermonde_iso(n: int, m: int, xi: int, limit: int = DEFAULT_BUDGET) -> VandermondeSplit:
     """The evaluation matrix (xi^(i j)) realizing the splitting, fully verified.
 
     Checks: the determinant is a unit mod m; xi^i - xi^j is a unit for
     i != j; and X^n - 1 factors exactly as the product of (X - xi^i).
     The determinant is the expansion over all 2^n column subsets, so n * 2^n
-    above ``budget`` raises BudgetExceeded before anything is built.
+    above ``limit`` raises BudgetExceeded before anything is built.
     """
     # the first test keeps a huge n from building the int n * 2^n
-    if n >= budget.bit_length() or n << n > budget:
+    if n >= limit.bit_length() or n << n > limit:
         raise BudgetExceeded(f"determinant expansion of size {n} ({n} * 2^{n} steps) "
-                             f"exceeds the budget {budget}")
+                             f"exceeds the budget {limit}")
     powers = tuple(pow(xi, i, m) for i in range(n))
     entries = [pow(xi, i * j, m) for i in range(n) for j in range(n)]
     mat = RingMatrix(ModRing(m), n, n, entries)
@@ -160,10 +160,10 @@ def complete_idempotent_set(idems: list[int], m: int) -> tuple[int, ...]:
     return tuple(sorted(v for _, v in atoms))
 
 
-def count_idempotents_group_algebra(m: int, n: int, budget: int = DEFAULT_BUDGET) -> int:
+def count_idempotents_group_algebra(m: int, n: int, limit: int = DEFAULT_BUDGET) -> int:
     """Brute-force count of solutions of x * x = x in the algebra of Z/n over Z/m."""
-    if m ** n > budget:
-        raise BudgetExceeded(f"{m}^{n} candidates exceed the budget {budget}")
+    if m ** n > limit:
+        raise BudgetExceeded(f"{m}^{n} candidates exceed the budget {limit}")
     count = 0
     for vec in itertools.product(range(m), repeat=n):
         ok = True

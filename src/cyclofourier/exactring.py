@@ -106,7 +106,7 @@ def euler_phi(n: int) -> int:
 
 
 def _strip_p(n: int, p: int) -> tuple[int, int]:
-    """Write |n| = n0 * p^k with p not dividing n0; returns (n0, k)."""
+    """Write n = n0 * p^k with p not dividing n0; returns (n0, k), and (0, 0) for n = 0."""
     if n == 0:
         return 0, 0
     k = 0
@@ -344,12 +344,14 @@ class CycloElem:
         nums = list(nums)
         if len(nums) != ring.degree:
             raise ValueError("coefficient vector has the wrong length")
-        if any(nums):
-            while exp > 0 and all(c % p == 0 for c in nums):
-                nums = [c // p for c in nums]
-                exp -= 1
-        else:
+        if not any(nums):
             exp = 0
+        elif exp > 0:
+            k = min(exp, _strip_p(math.gcd(*nums), p)[1])
+            if k:
+                q = p ** k
+                nums = [c // q for c in nums]
+                exp -= k
         self.ring = ring
         self.nums = tuple(nums)
         self.exp = exp
@@ -365,14 +367,12 @@ class CycloElem:
         """
         if self.exp == 0:
             return list(map(_INT_STRINGS.__getitem__, self.nums))
-        p = self.ring.prime
+        p, e = self.ring.prime, self.exp
+        q = p ** e
         strings = []
         for n in self.nums:
-            e = self.exp
-            while e and n % p == 0:  # 0 ends at e = 0, as "0"
-                n //= p
-                e -= 1
-            strings.append(f"{n}/{p}^{e}" if e else str(n))
+            n0, k = _strip_p(n, p)  # 0 gives k = 0 and the string "0"
+            strings.append(f"{n0}/{p}^{e - k}" if n and k < e else str(n // q))
         return strings
 
     def is_scalar(self) -> bool:

@@ -16,6 +16,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Iterator, Sequence
 
+from .exactring import _strip_p
 from .report import DEFAULT_BUDGET, BudgetExceeded
 
 
@@ -115,15 +116,11 @@ class PadicCircle:
     def __init__(self, prime: int, numerator: int, level: int):
         if level < 0:
             raise ValueError("level must be >= 0")
-        numerator %= prime ** level
-        while level > 0 and numerator % prime == 0:
-            numerator //= prime
-            level -= 1
-        if numerator == 0:
-            level = 0
+        # 0 < numerator < p^level leaves k < level
+        numerator, k = _strip_p(numerator % prime ** level, prime)
         self.prime = prime
         self.numerator = numerator
-        self.level = level
+        self.level = level - k if numerator else 0
 
     @classmethod
     def zero(cls, prime: int) -> "PadicCircle":

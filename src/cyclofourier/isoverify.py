@@ -122,8 +122,7 @@ class CriterionReport:
         }
 
 
-def invertibility_criterion(fn: CircleFunction, p: int, levels: int,
-                            ring: CycloRing | None = None) -> CriterionReport:
+def invertibility_criterion(fn: CircleFunction, p: int, levels: int) -> CriterionReport:
     """Decide invertibility of the parameterized map on all groups killed by p^levels.
 
     Three conditions, each a unit test: the value at 0; the sum of the
@@ -132,8 +131,7 @@ def invertibility_criterion(fn: CircleFunction, p: int, levels: int,
     """
     if not fn.covers_level(levels):
         raise ValueError("circle function not defined up to the requested level")
-    if ring is None:
-        ring = fn.ring if fn.kind == "table" else standard_ring(p, levels)
+    ring = fn.ring if fn.kind == "table" else standard_ring(p, levels)
     zero_value = fn.value_at(PadicCircle.zero(p), ring)
     c1 = is_unit(zero_value)
     s2 = ring.zero
@@ -218,7 +216,7 @@ def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
                            "extra_groups": extra_groups})
     for i in range(samples):
         fn = random_table_function(p, r, rng, ring)
-        v_criterion = invertibility_criterion(fn, p, r, ring).overall
+        v_criterion = invertibility_criterion(fn, p, r).overall
         v_det = matrix_is_invertible(decision_group, fn, ring)
         ok = v_criterion == v_det
         decided = {decision_group: v_det}
@@ -331,22 +329,18 @@ def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
 
 
 def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None,
-                      fn: CircleFunction | None = None,
-                      ring: CycloRing | None = None,
                       dump_matrix: bool = False, limit: int = DEFAULT_BUDGET) -> VerifyReport:
-    """Determinant-unit check for every group, plus naturality up to a sub-bound.
+    """The spike's determinant-unit check for every group, plus naturality up to a sub-bound.
 
+    The spike's values are integers, so its matrices live over Z[1/p].
     ``limit`` bounds each unit of brute-force work.  BudgetExceeded is raised
-    before any matrix is built when n^3 * phi(M), for the largest group order
-    n and the conductor M of the entries' ring (phi = 1 for the integer spike
-    values), exceeds it, or when the naturality part would enumerate more
-    than ``limit`` homs for some group pair, as in ``naturality_sweep``.
+    before any matrix is built when n^3, for the largest group order n,
+    exceeds it, or when the naturality part would enumerate more than
+    ``limit`` homs for some group pair, as in ``naturality_sweep``.
     """
-    fn = fn if fn is not None else CircleFunction.spike(p)
-    if ring is None:
-        ring = fn.ring if fn.kind == "table" else spike_ring(p)
+    fn, ring = CircleFunction.spike(p), spike_ring(p)
     n = p ** _top_exponent(p, max_order)  # the largest group order
-    if n ** 3 * ring.degree > limit:
+    if n ** 3 > limit:
         raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{ring.conductor}] "
                              f"exceed the bound {limit}")
     if hom_order_bound:

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -203,9 +204,9 @@ def test_every_budgeted_entry_point_defaults_to_the_one_budget():
         (finab.enumerate_homs, "limit"), (isoverify.naturality_sweep, "limit"),
         (isoverify.natural_iso_sweep, "limit"), (isoverify.criterion_vs_determinant, "limit"),
         (groupalgebra.fourier_inversion_report, "limit"),
-        (diagonalize.decide_diag_cyclic, "budget"), (diagonalize.decide_diag_group, "budget"),
-        (diagonalize.vandermonde_iso, "budget"),
-        (diagonalize.count_idempotents_group_algebra, "budget"),
+        (diagonalize.decide_diag_cyclic, "limit"), (diagonalize.decide_diag_group, "limit"),
+        (diagonalize.vandermonde_iso, "limit"),
+        (diagonalize.count_idempotents_group_algebra, "limit"),
     }
     # any other function of the package with a defaulted budget parameter counts as well
     for module in (finab, isoverify, groupalgebra, diagonalize, cli):
@@ -298,7 +299,7 @@ def test_internal_errors_exit_four(capsys, monkeypatch):
     def broken_dual_hom(f):
         raise ArithmeticError("well-definedness violated; construction bug")
 
-    def broken_split(n, m, witness, budget):
+    def broken_split(n, m, witness, limit):
         raise SplitVerificationError("Vandermonde determinant 0 not a unit mod 5")
 
     def broken_gauss(p, r):
@@ -486,10 +487,64 @@ def test_invalid_flags_are_usage_errors(tmp_path, capsys, argv, flag):
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} must be ")
 
 
-def test_unknown_alpha_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "verify", "iso", "--alpha", "foo")
-    assert code == 2 and out == ""
-    assert err == "error: unknown alpha function 'foo'\n"
+_CHECK_FLAGS = {
+    "fourier": {"--max-order"},
+    "gauss": {"--max-r"},
+    "iso": {"--max-order", "--natural-max-order", "--dump-matrix"},
+    "criterion-oracle": {"--r", "--samples", "--seed", "--extra-groups"},
+    "naturality": {"--max-order"},
+}
+
+
+@pytest.mark.parametrize("check, flag", [
+    (check, flag) for check, own in _CHECK_FLAGS.items()
+    for flag in sorted({"--alpha"}.union(*_CHECK_FLAGS.values()) - own)])
+def test_a_flag_the_check_does_not_read_is_a_usage_error(tmp_path, capsys, check, flag):
+    target = tmp_path / "report.out"
+    value = [] if flag == "--dump-matrix" else ["1"]
+    code, out, err = run_cli(capsys, "verify", check, "--p", "2", flag, *value,
+                             "--output", str(target))
+    assert code == 2 and out == "" and not target.exists()
+    assert err == f"error: unrecognized arguments: {' '.join([flag, *value])}\n"
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+             if line.startswith("cyclofourier ")]
+    assert argvs, "no cyclofourier command line in the README's CLI block"
+    return argvs
+
+
+@pytest.mark.parametrize("argv", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_lines_exit_zero(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    assert run_cli(capsys, *argv)[0] == 0
+
+
+def test_each_check_defaults_its_orders_to_the_prime(capsys, monkeypatch):
+    calls = []
+
+    def record(name):
+        def sweep(p, max_order, **kwargs):
+            calls.append((name, p, max_order, kwargs.get("hom_order_bound")))
+            return VerifyReport(name, {})
+        return sweep
+
+    for name in ("fourier_inversion_report", "natural_iso_sweep", "naturality_sweep"):
+        monkeypatch.setattr(cli, name, record(name))
+    for check in ("fourier", "iso", "naturality"):
+        for p in (2, 3, 5):
+            assert run_cli(capsys, "verify", check, "--p", str(p))[0] == 0
+    assert calls == [
+        ("fourier_inversion_report", 2, 32, None), ("fourier_inversion_report", 3, 27, None),
+        ("fourier_inversion_report", 5, 125, None),
+        ("natural_iso_sweep", 2, 32, 16), ("natural_iso_sweep", 3, 27, 27),
+        ("natural_iso_sweep", 5, 125, 1),
+        ("naturality_sweep", 2, 16, None), ("naturality_sweep", 3, 16, None),
+        ("naturality_sweep", 5, 1, None),
+    ]
 
 
 @pytest.mark.parametrize("argv", [
