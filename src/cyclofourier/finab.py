@@ -361,24 +361,35 @@ def compose(g: GroupHom, f: GroupHom) -> GroupHom:
     return GroupHom(f.source, g.target, rows)
 
 
+@lru_cache(maxsize=None)
+def _dual_plan(p: int, src: tuple[int, ...],
+               tgt: tuple[int, ...]) -> tuple[tuple[tuple[int, int, int, int], ...], ...]:
+    """Per row j of the dual, (i, multiplier, divisor, modulus) for each entry.
+
+    Entry (j, i) of the dual is a * p^(e_j - f_i) when e_j >= f_i, else
+    a / p^(f_i - e_j), reduced mod p^(e_j), for a the entry (i, j) of f.
+    """
+    return tuple(tuple((i, p ** max(e - fi, 0), p ** max(fi - e, 0), p ** e)
+                       for i, fi in enumerate(tgt))
+                 for e in src)
+
+
 def dual_hom(f: GroupHom) -> GroupHom:
-    """The adjoint map on duals: <f(v), l> = <v, dual_hom(f)(l)> for all v, l."""
-    p = f.source.prime
-    src = f.source.exponents
-    tgt = f.target.exponents
+    """The adjoint map on duals: <f(v), l> = <v, dual_hom(f)(l)> for all v, l.
+
+    Reads the multiplier, divisor and modulus of each entry from
+    ``_dual_plan``, cached on the exponent tuples of the two groups.
+    """
+    m = f.matrix
     rows = []
-    for j in range(len(src)):
+    for j, plan in enumerate(_dual_plan(f.source.prime, f.source.exponents,
+                                        f.target.exponents)):
         row = []
-        for i in range(len(tgt)):
-            a = f.matrix[i][j]
-            if src[j] >= tgt[i]:
-                b = a * p ** (src[j] - tgt[i])
-            else:
-                step = p ** (tgt[i] - src[j])
-                if a % step:
-                    raise ArithmeticError("well-definedness violated; construction bug")
-                b = a // step
-            row.append(b % p ** src[j])
+        for i, mult, div, mod in plan:
+            a = m[i][j]
+            if a % div:
+                raise ArithmeticError("well-definedness violated; construction bug")
+            row.append(a // div * mult % mod)
         rows.append(tuple(row))
     return GroupHom._trusted(f.target, f.source, tuple(rows))
 
@@ -419,24 +430,27 @@ def _require_sweep_hom_budget(p: int, max_order: int, limit: int) -> None:
     _require_hom_budget(elementary, elementary, limit)
 
 
+def hom_entry_choices(source: FinAbGroup, target: FinAbGroup) -> tuple[range, ...]:
+    """The admissible values of each matrix entry (i, j), in row-major order.
+
+    Entry (i, j) runs over the multiples of p^(max(f_i - e_j, 0)) below
+    p^(f_i); ``enumerate_homs`` yields the product of these ranges in order.
+    """
+    p = source.prime
+    return tuple(range(0, p ** fi, p ** max(fi - ej, 0))
+                 for fi in target.exponents for ej in source.exponents)
+
+
 def enumerate_homs(source: FinAbGroup, target: FinAbGroup,
                    limit: int = DEFAULT_BUDGET) -> Iterator[GroupHom]:
     """All homomorphisms, one matrix entry choice at a time, deterministic order."""
     total = _require_hom_budget(source, target, limit)
-    p = source.prime
-    src = source.exponents
-    tgt = target.exponents
-    choice_sets = []
-    for fi in tgt:
-        for ej in src:
-            step = p ** max(fi - ej, 0)
-            choice_sets.append(range(0, p ** fi, step))
-    ncols = len(src)
+    ncols = len(source.exponents)
+    rows = [slice(i * ncols, (i + 1) * ncols) for i in range(len(target.exponents))]
     seen = 0
-    for flat in itertools.product(*choice_sets):
-        rows = tuple(flat[i * ncols : (i + 1) * ncols] for i in range(len(tgt)))
+    for flat in itertools.product(*hom_entry_choices(source, target)):
         seen += 1
-        yield GroupHom._trusted(source, target, rows)
+        yield GroupHom._trusted(source, target, tuple([flat[r] for r in rows]))
     if seen != total:
         raise ArithmeticError("homomorphism count mismatch; enumeration bug")
 

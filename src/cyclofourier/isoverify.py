@@ -9,15 +9,20 @@ functions, and a brute-force determinant provides the independent verdict.
 
 The map is natural in V.  ``naturality_sweep`` enumerates every hom
 f: V -> W and proves its square from the bilinear adjoint identity
-<f v, l> = <v, f_dual l> on generator pairs, with the entrywise
-``naturality_check`` as fallback: O(|Hom| * rank(V) * rank(W)) per pair.
+<f v, l> = <v, f_dual l> on generator pairs.  Pairing with a unit vector
+or a unit functional reads one coordinate, so on the pair (g_j, h_i) the
+identity ties entry (i, j) of f to entry (j, i) of f_dual alone: the
+adjoint entry each value of f[i][j] demands is read once per group pair
+from the two pairing tables, O(sum over (i, j) of p^e_j + p^f_i) reads,
+and each hom then costs one ``dual_hom`` call and one tuple comparison.
+The entrywise ``naturality_check`` decides any hom that fails it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from functools import cache, partial
 from typing import Mapping
 
 from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
@@ -25,8 +30,8 @@ from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
 from .exactring import CycloElem, CycloRing, euler_phi, get_ring, is_unit
 from .finab import (FinAbGroup, GroupHom, PadicCircle, _generator_indices,
                     _require_sweep_hom_budget, _top_exponent, circle_points, dual_elements,
-                    dual_hom, element_index, elements, enumerate_groups, enumerate_homs,
-                    pairing, pairing_numerators)
+                    dual_hom, elements, enumerate_groups, enumerate_homs,
+                    hom_entry_choices, pairing, pairing_numerators)
 from .groupalgebra import transform_matrix
 from .matrix import determinant
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
@@ -264,26 +269,41 @@ def naturality_check(f: GroupHom, fn: CircleFunction, ring: CycloRing) -> bool:
     return True
 
 
-def _naturality_pair(V: FinAbGroup, W: FinAbGroup, fn: CircleFunction,
-                     ring: CycloRing, limit: int) -> tuple[bool, int, dict | None]:
-    """Every hom V -> W, checked on generator pairs.
+def _adjoint_entries(V: FinAbGroup, W: FinAbGroup) -> list[list[int | None]]:
+    """Per entry (i, j) of a hom V -> W, in the order of ``hom_entry_choices``,
+    the adjoint entry b = f_dual[j][i] that each admissible a = f[i][j] demands.
 
-    Pairings a / p^e1(W) and b / p^e1(V) agree exactly when a * p^e1(V) == b * p^e1(W).
+    b solves <g_j, b h_j>_V = <a g_i, h_i>_W, where g and h are the unit
+    vectors and unit functionals, which share their element indices
+    (``_generator_indices``); a g_i sits at a times the index of g_i.  None
+    where no b does.  Pairings a / p^e1(W) and b / p^e1(V) agree exactly
+    when a * p^e1(V) == b * p^e1(W).
     """
-    _require_defined(fn, ring, V, W)
     table_v, table_w = pairing_numerators(V), pairing_numerators(W)
     den_v, den_w = V.exponent_value, W.exponent_value
-    locate_v = cache(partial(element_index, V))  # columns repeat across homs
-    locate_w = cache(partial(element_index, W))
     gens_v, gens_w = _generator_indices(V), _generator_indices(W)
+    # per source factor j: the cross-multiplied pairing <g_j, b h_j>_V -> b
+    solve = [{table_v[g][b * g] * den_w: b for b in range(n)}
+             for g, n in zip(gens_v, V.factor_orders)]
+    return [[sol.get(table_w[a * h][h] * den_v) for a in choice]
+            for (h, sol), choice in zip(itertools.product(gens_w, solve),
+                                        hom_entry_choices(V, W))]
+
+
+def _naturality_pair(V: FinAbGroup, W: FinAbGroup, fn: CircleFunction,
+                     ring: CycloRing, limit: int) -> tuple[bool, int, dict | None]:
+    """Every hom V -> W, its adjoint compared with the entries the pairings demand.
+
+    ``enumerate_homs`` yields the product of ``hom_entry_choices`` in order,
+    so the product of ``_adjoint_entries`` walks in step with it.
+    """
+    _require_defined(fn, ring, V, W)
+    expected = itertools.product(*_adjoint_entries(V, W))
     count = 0
-    for f in enumerate_homs(V, W, limit=limit):
+    for f, want in zip(enumerate_homs(V, W, limit=limit), expected, strict=True):
         count += 1
-        # Column j of a hom's matrix is the image of the j-th generator.
-        images = [locate_w(col) for col in zip(*f.matrix)]
-        dual_images = [locate_v(col) for col in zip(*dual_hom(f).matrix)]
-        holds = all(table_w[images[j]][h] * den_v == table_v[g][dual_images[k]] * den_w
-                    for j, g in enumerate(gens_v) for k, h in enumerate(gens_w))
+        # the adjoint's columns, i = 0, 1, ..., list its entries (j, i) in f's order
+        holds = sum(zip(*dual_hom(f).matrix), ()) == want
         if not holds and not naturality_check(f, fn, ring):
             return False, count, {"hom": [list(r) for r in f.matrix],
                                   "source": V.notation(), "target": W.notation()}
@@ -296,16 +316,21 @@ def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
     """Naturality squares for every homomorphism between groups up to the bound.
 
     Each hom f: V -> W from ``enumerate_homs`` (at most ``limit`` per pair,
-    else BudgetExceeded) is checked through <f g_j, h_k>_W = <g_j, f_dual h_k>_V
-    on the source generators g_j and the target's dual generators h_k.  Both
+    else BudgetExceeded) is checked through <f g_j, h_i>_W = <g_j, f_dual h_i>_V
+    on the source generators g_j and the target's dual generators h_i.  Both
     sides are bilinear in (v, l), as f and ``dual_hom(f)`` are homomorphisms,
     so the identity then holds for all v and l, and fn(<f v, l>) =
-    fn(<v, f_dual l>) for every circle function fn.  A hom that fails on a
-    generator pair is decided by the entrywise ``naturality_check`` with fn,
-    so verdicts stay exact even for a faulty ``dual_hom``; the first hom it
-    rejects is the witness.  Cost per pair: O(|Hom(V, W)| * rank(V) * rank(W))
-    pairing lookups instead of O(|Hom(V, W)| * |V| * |W|).  The pair with the
-    most homs is checked against ``limit`` before any pair is enumerated.
+    fn(<v, f_dual l>) for every circle function fn.  Pairing with a unit
+    vector or a unit functional reads one coordinate, so the left side
+    depends on f[i][j] alone and the right side on f_dual[j][i] alone: the
+    identity holds exactly when f_dual, reduced, carries the entries that
+    the two pairing tables demand.  These are read once per pair, in
+    O(sum over (i, j) of p^e_j + p^f_i) table reads, and each hom then costs
+    one ``dual_hom`` call and one tuple comparison.  A hom whose adjoint
+    differs is decided by the entrywise ``naturality_check`` with fn, so
+    verdicts stay exact even for a faulty ``dual_hom``; the first hom it
+    rejects is the witness.  The pair with the most homs is checked against
+    ``limit`` before any pair is enumerated.
     """
     fn = fn if fn is not None else CircleFunction.spike(p)
     if ring is None:

@@ -9,7 +9,7 @@ from cyclofourier import (BudgetExceeded, DualElem, FinAbGroup, GroupElem, Group
                           PadicCircle, compose, dual_elements, dual_hom, element_index,
                           elements, enumerate_groups, enumerate_homs, hom_count,
                           identity_hom, pairing, pairing_numerators, zero_hom)
-from cyclofourier.finab import _require_sweep_hom_budget, _top_exponent
+from cyclofourier.finab import _require_sweep_hom_budget, _top_exponent, hom_entry_choices
 
 
 def G(p, *exps):
@@ -271,6 +271,23 @@ def test_enumerate_homs_counts():
     homs = list(enumerate_homs(V, W))
     assert len(homs) == hom_count(V, W) == 2 ** 4
     assert len(set(homs)) == len(homs)
+
+
+def test_enumerate_homs_walks_the_product_of_the_entry_choices():
+    # The naturality sweep zips this product with enumerate_homs: the order must agree.
+    for p, bound in ((2, 8), (3, 9)):
+        groups = enumerate_groups(p, bound)
+        for V in groups:
+            for W in groups:
+                flat = [sum(f.matrix, ()) for f in enumerate_homs(V, W)]
+                assert list(itertools.product(*hom_entry_choices(V, W))) == flat
+
+
+def test_dual_hom_rejects_an_ill_defined_hom():
+    # Z/2 -> Z/4 must send the generator into 2Z/4; the unchecked entry 1 does not.
+    f = GroupHom._trusted(G(2, 1), G(2, 2), ((1,),))
+    with pytest.raises(ArithmeticError, match="well-definedness"):
+        dual_hom(f)
 
 
 def test_enumerate_homs_budget():

@@ -230,33 +230,49 @@ def test_naturality_sweep_matches_entrywise_oracle(monkeypatch):
             assert all(ok for ok, _, _ in got)
 
 
-def _perturbed_dual_hom(f):
-    """dual_hom(f) with its last entry moved by the smallest well-defined step."""
-    fs = dual_hom(f)
-    if not (fs.matrix and fs.matrix[0]):
-        return fs
-    rows = [list(row) for row in fs.matrix]
-    rows[-1][-1] += f.source.prime ** max(fs.target.exponents[-1] - fs.source.exponents[-1], 0)
-    return GroupHom(fs.source, fs.target, rows)
+def _faulty_dual_hom(entry, unreduced=False):
+    """dual_hom with one entry, (0, 0) or (-1, -1), moved off the adjoint.
+
+    The entry moves by the smallest well-defined step, or, if unreduced, by
+    the modulus of its row, left unreduced: the same map, stored wrongly.
+    """
+    def faulty(f):
+        fs = dual_hom(f)
+        if not (fs.matrix and fs.matrix[0]):
+            return fs
+        rows = [list(row) for row in fs.matrix]
+        p, e, fi = f.source.prime, fs.target.exponents[entry], fs.source.exponents[entry]
+        if unreduced:
+            rows[entry][entry] += p ** e
+            return GroupHom._trusted(fs.source, fs.target, tuple(map(tuple, rows)))
+        rows[entry][entry] += p ** max(e - fi, 0)
+        return GroupHom(fs.source, fs.target, rows)
+    return faulty
 
 
 def test_naturality_sweep_matches_oracle_under_a_faulty_dual_hom(monkeypatch):
-    # The perturbed adjoint breaks the generator identity for every hom between
+    # A moved adjoint entry breaks the generator identity for every hom between
     # nontrivial groups, so each verdict there comes from the entrywise fallback.
-    monkeypatch.setattr(isoverify, "dual_hom", _perturbed_dual_hom)
-    for p, max_order, r in DIFFERENTIAL:
-        groups = enumerate_groups(p, max_order)
-        nontrivial = [bool(V.exponents and W.exponents) for V in groups for W in groups]
-        for name, fn, ring in _naturality_functions(p, r):
-            got = _sweep_results(p, max_order, fn, ring)
-            assert got == _oracle_results(p, max_order, fn, ring)
-            failing = [not ok for ok, _, _ in got]
-            if name == "constant":
-                assert not any(failing)  # the fallback's pass branch
-            elif name == "spike":
-                assert failing == nontrivial
-            else:
-                assert any(failing)
+    faults = {"last": _faulty_dual_hom(-1), "first": _faulty_dual_hom(0),
+              "unreduced": _faulty_dual_hom(0, unreduced=True)}
+    for fault, faulty in faults.items():
+        monkeypatch.setattr(isoverify, "dual_hom", faulty)
+        for p, max_order, r in DIFFERENTIAL:
+            groups = enumerate_groups(p, max_order)
+            nontrivial = [bool(V.exponents and W.exponents) for V in groups for W in groups]
+            for name, fn, ring in _naturality_functions(p, r):
+                got = _sweep_results(p, max_order, fn, ring)
+                assert got == _oracle_results(p, max_order, fn, ring), (fault, name, p)
+                failing = [not ok for ok, _, _ in got]
+                if name == "constant" or fault == "unreduced":
+                    assert not any(failing)  # the fallback's pass branch
+                elif fault == "first":
+                    # pinned, so that this case cannot pass without a failing pair
+                    assert sum(failing) == {2: 36, 3: 9}[p]
+                elif name == "spike":
+                    assert failing == nontrivial
+                else:
+                    assert any(failing)
 
 
 def test_sweep_examples():
