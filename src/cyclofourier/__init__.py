@@ -21,8 +21,7 @@ from .groupalgebra import (AlgElem, FunElem, algebra_one, basis_element, charact
                            transform_matrix)
 from .isoverify import (CircleFunction, CriterionReport, criterion_vs_determinant,
                         invertibility_criterion, matrix_is_invertible, natural_iso_sweep,
-                        naturality_check, naturality_sweep, random_table_function,
-                        spike_ring, transform_determinant)
+                        naturality_check, naturality_sweep, random_table_function)
 from .diagonalize import (DiagVerdict, SplitVerificationError, VandermondeSplit,
                           complete_idempotent_set, count_idempotents_group_algebra,
                           decide_diag_cyclic, decide_diag_group, idempotents_mod,

@@ -249,15 +249,26 @@ def convolve(x: AlgElem, y: AlgElem) -> AlgElem:
 # -- the evaluation map, its matrix, and Fourier inversion --------------
 
 
+def _pairing_matrix(group: FinAbGroup, ring: CycloRing,
+                    values: Sequence[CycloElem]) -> RingMatrix:
+    """|V| x |V| matrix: row l, column v, entry values[t] where <v,l> = t / p^(e_1).
+
+    Each row indexes ``values`` with a row of ``pairing_numerators``, which
+    is symmetric: row l lists the numerators of <v, l> over v.
+    """
+    entries = []
+    for row in pairing_numerators(group):
+        entries.extend(map(values.__getitem__, row))
+    n = group.order
+    return RingMatrix(ring, n, n, entries)
+
+
 def character_table(group: FinAbGroup, ring: CycloRing) -> RingMatrix:
     """|V| x |V| matrix: row l, column v, entry zeta^<v,l> (the character table)."""
-    exps = _zeta_exponent_table(group, ring)
-    n = group.order
-    entries = []
-    for l in range(n):
-        for v in range(n):
-            entries.append(ring.zeta(exps[v][l]))
-    return RingMatrix(ring, n, n, entries)
+    _check_conductor(group, ring)
+    N = group.exponent_value
+    scale = ring.conductor // N  # t < N, so t * scale < M: no reduction
+    return _pairing_matrix(group, ring, [ring.zeta(t * scale) for t in range(N)])
 
 
 def _transform(group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem],
@@ -297,25 +308,18 @@ def fourier_inverse(f: FunElem) -> AlgElem:
     return AlgElem(f.group, f.ring, fourier_transform(f))
 
 
-def transform_matrix(group: FinAbGroup, fn, ring: CycloRing) -> RingMatrix:
-    """Matrix of the map parameterized by a circle function: entry fn(<v,l>).
+def transform_matrix(group: FinAbGroup, fn) -> RingMatrix:
+    """Matrix of the map parameterized by a circle function: entry fn(<v,l>), over fn.ring.
 
-    ``fn`` exposes value_at(point, ring) and covers_level(level); rows are
-    indexed by dual elements, columns by group elements.  fn is evaluated
-    once per residue t mod p^(e_1), at the point t / p^(e_1), and each row is
-    built by indexing those values with a row of ``pairing_numerators``,
-    which is symmetric: row l lists the numerators of <v, l> over v.
+    ``fn`` exposes its ``ring`` and value_at(point), which raises ValueError
+    at a point of another prime or beyond fn's level.  fn is evaluated once
+    per residue t mod p^(e_1), at the point t / p^(e_1), and the matrix is
+    built from those values by ``_pairing_matrix``, as the character table is.
     """
     p = group.prime
     e1 = group.exponents[0] if group.exponents else 0
-    if not fn.covers_level(e1):
-        raise ValueError(f"circle function not defined at level {e1}")
-    values = [fn.value_at(PadicCircle(p, t, e1), ring) for t in range(p ** e1)]
-    entries = []
-    for row in pairing_numerators(group):
-        entries.extend(map(values.__getitem__, row))
-    n = group.order
-    return RingMatrix(ring, n, n, entries)
+    values = [fn.value_at(PadicCircle(p, t, e1)) for t in range(p ** e1)]
+    return _pairing_matrix(group, fn.ring, values)
 
 
 # -- unit tests in group and monoid algebras ----------------------------

@@ -1,9 +1,10 @@
 """Invertibility criterion, determinant oracle, naturality, and sweeps.
 
-A circle function assigns ring values to points of the p-power torsion of
-Q/Z; it parameterizes a linear map from the group algebra to functions on
-the dual, with matrix entry fn(<v,l>).  The closed-form "spike" function
-(2 at the points 1/p^s, 1 elsewhere) makes every such matrix invertible;
+A circle function assigns values in a cyclotomic ring K to points of the
+p-power torsion of Q/Z, for the prime p that K inverts; it parameterizes a
+linear map from the group algebra to functions on the dual, with matrix
+entry fn(<v,l>) in K.  The closed-form "spike" function (2 at the points
+1/p^s, 1 elsewhere, over K = Z[1/p]) makes every such matrix invertible;
 a three-condition criterion decides invertibility for arbitrary table
 functions, and a brute-force determinant provides the independent verdict.
 
@@ -21,13 +22,14 @@ The entrywise ``naturality_check`` decides any hom that fails it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
                         standard_ring, units_mod)
-from .exactring import CycloElem, CycloRing, euler_phi, get_ring, is_unit
+from .exactring import CycloElem, CycloRing, euler_phi, get_ring, is_unit, lift_conductor
 from .finab import (FinAbGroup, GroupHom, PadicCircle, _generator_indices,
                     _require_sweep_hom_budget, _top_exponent, circle_points, dual_elements,
                     dual_hom, elements, enumerate_groups, enumerate_homs,
@@ -38,49 +40,56 @@ from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
 
 
 class CircleFunction:
-    """A function from the p-power torsion circle into a cyclotomic ring."""
+    """A function from the p-power torsion circle into a cyclotomic ring.
 
-    __slots__ = ("kind", "prime", "level", "values", "ring")
+    The function owns its ring, and the ring its prime: the function is
+    defined on the p-power torsion for p = ``ring.prime``.  The spike takes
+    integer values, so its ring is Z[1/p] = ``get_ring(1, p)``; a table keeps
+    the ring of its values.  ``check_defined`` is the one guard: ValueError
+    at another prime or beyond a table's level.
+    """
 
-    def __init__(self, kind: str, prime: int, level: int | None,
-                 values: Mapping[PadicCircle, CycloElem] | None,
-                 ring: CycloRing | None):
+    __slots__ = ("kind", "level", "values", "ring")
+
+    def __init__(self, kind: str, level: int | None,
+                 values: Mapping[PadicCircle, CycloElem] | None, ring: CycloRing):
         self.kind = kind
-        self.prime = prime
         self.level = level
         self.values = values
         self.ring = ring
 
+    @property
+    def prime(self) -> int:
+        return self.ring.prime
+
     @classmethod
     def spike(cls, p: int) -> "CircleFunction":
         """Value 2 at every point 1/p^s with s >= 1, value 1 elsewhere; total."""
-        return cls("spike", p, None, None, None)
+        return cls("spike", None, None, get_ring(1, p))
 
     @classmethod
-    def table(cls, p: int, level: int,
-              values: Mapping[PadicCircle, CycloElem],
+    def table(cls, level: int, values: Mapping[PadicCircle, CycloElem],
               ring: CycloRing) -> "CircleFunction":
-        """Explicit values on all points of level <= level."""
-        points = circle_points(p, level)
-        if set(values.keys()) != set(points):
-            raise ValueError("table must cover exactly the points up to the level")
-        for v in values.values():
-            if v.ring != ring:
-                raise ValueError("table value from the wrong ring")
-        return cls("table", p, level, dict(values), ring)
+        """Explicit values in ``ring`` on all points of level <= level, for the ring's prime."""
+        if set(values.keys()) != set(circle_points(ring.prime, level)):
+            raise ValueError("table must cover exactly the points up to the level, "
+                             "for the prime of its ring")
+        if any(v.ring != ring for v in values.values()):
+            raise ValueError("table value from the wrong ring")
+        return cls("table", level, dict(values), ring)
 
-    def covers_level(self, level: int) -> bool:
-        return self.level is None or level <= self.level
+    def check_defined(self, prime: int, level: int) -> None:
+        """Raise ValueError unless the function is defined at every point a/prime^level."""
+        if prime != self.prime:
+            raise ValueError(f"circle function over p={self.prime} asked about p={prime}")
+        if self.level is not None and level > self.level:
+            raise ValueError(f"circle function not defined beyond level {self.level}, "
+                             f"asked about level {level}")
 
-    def value_at(self, x: PadicCircle, ring: CycloRing) -> CycloElem:
-        if x.prime != self.prime:
-            raise ValueError("point from the wrong prime")
+    def value_at(self, x: PadicCircle) -> CycloElem:
+        self.check_defined(x.prime, x.level)
         if self.kind == "spike":
-            return ring.from_int(2 if x.numerator == 1 else 1)
-        if x.level > self.level:
-            raise ValueError(f"point {x} beyond table level {self.level}")
-        if ring != self.ring:
-            raise ValueError("table values live in a different ring")
+            return self.ring.from_int(2 if x.numerator == 1 else 1)
         return self.values[x]
 
     def label(self) -> str:
@@ -90,11 +99,6 @@ class CircleFunction:
 
     def __repr__(self):
         return f"CircleFunction({self.label()})"
-
-
-def spike_ring(p: int) -> CycloRing:
-    """The spike function takes integer values, so conductor 1 suffices."""
-    return get_ring(1, p)
 
 
 @dataclass(slots=True)
@@ -112,36 +116,29 @@ class CriterionReport:
         return (self.condition1 and self.condition2
                 and all(ok for _, _, _, ok in self.condition3))
 
-    def to_json(self) -> dict:
-        return {
-            "condition1": {"pass": self.condition1,
-                           "witness": self.witness1.coeff_strings()},
-            "condition2": {"pass": self.condition2,
-                           "witness": self.witness2.coeff_strings()},
-            "condition3": [
-                {"level": r, "character": list(exps),
-                 "witness": value.coeff_strings(), "pass": ok}
-                for r, exps, value, ok in self.condition3
-            ],
-            "overall": self.overall,
-        }
 
-
-def invertibility_criterion(fn: CircleFunction, p: int, levels: int) -> CriterionReport:
+def invertibility_criterion(fn: CircleFunction, levels: int) -> CriterionReport:
     """Decide invertibility of the parameterized map on all groups killed by p^levels.
 
     Three conditions, each a unit test: the value at 0; the sum of the
     level-one increments; and, for every level r <= levels and every
     primitive character chi mod p^r, the chi^(-1)-twisted increment sum.
+    The sums live in the smallest ring holding fn's values and the
+    characters mod p^levels; a value from a smaller ring is lifted into it.
     """
-    if not fn.covers_level(levels):
-        raise ValueError("circle function not defined up to the requested level")
-    ring = fn.ring if fn.kind == "table" else standard_ring(p, levels)
-    zero_value = fn.value_at(PadicCircle.zero(p), ring)
+    p = fn.prime
+    fn.check_defined(p, levels)
+    ring = get_ring(math.lcm(fn.ring.conductor, _standard_conductor(p, levels)), p)
+
+    def value(t: int, r: int) -> CycloElem:
+        x = fn.value_at(PadicCircle(p, t, r))
+        return x if x.ring == ring else lift_conductor(x, ring.conductor)
+
+    zero_value = value(0, 0)
     c1 = is_unit(zero_value)
     s2 = ring.zero
     for j in range(1, p):
-        s2 = s2 + (fn.value_at(PadicCircle(p, j, 1), ring) - zero_value)
+        s2 = s2 + (value(j, 1) - zero_value)
     c2 = is_unit(s2)
     entries = []
     for r in range(1, levels + 1):
@@ -151,36 +148,28 @@ def invertibility_criterion(fn: CircleFunction, p: int, levels: int) -> Criterio
                 continue
             s = ring.zero
             for t in units_mod(N):
-                diff = fn.value_at(PadicCircle(p, t, r), ring) - zero_value
+                diff = value(t, r) - zero_value
                 if diff:
                     s = s + chi.eval(pow(t, -1, N)) * diff
             entries.append((r, chi.exponents, s, is_unit(s)))
     return CriterionReport(c1, zero_value, c2, s2, entries)
 
 
-def transform_determinant(group: FinAbGroup, fn: CircleFunction,
-                          ring: CycloRing) -> CycloElem:
-    return determinant(transform_matrix(group, fn, ring))
-
-
-def matrix_is_invertible(group: FinAbGroup, fn: CircleFunction,
-                         ring: CycloRing) -> bool:
+def matrix_is_invertible(group: FinAbGroup, fn: CircleFunction) -> bool:
     """Brute-force verdict: the determinant of the transform matrix is a unit."""
-    return is_unit(transform_determinant(group, fn, ring))
+    return is_unit(determinant(transform_matrix(group, fn)))
 
 
 # -- criterion versus determinant, on seeded random tables ---------------
 
 
-def random_table_function(p: int, r: int, rng: random.Random,
-                          ring: CycloRing | None = None) -> CircleFunction:
-    """A table drawn from the fixed pool {0, 1, 2, zeta, zeta - 1, p}."""
-    if ring is None:
-        ring = standard_ring(p, r)
+def random_table_function(p: int, r: int, rng: random.Random) -> CircleFunction:
+    """A table over ``standard_ring(p, r)``, drawn from the pool {0, 1, 2, zeta, zeta - 1, p}."""
+    ring = standard_ring(p, r)
     pool = [ring.zero, ring.one, ring.from_int(2), ring.zeta(1),
             ring.zeta(1) - ring.one, ring.from_int(p)]
     values = {point: pool[rng.randrange(len(pool))] for point in circle_points(p, r)}
-    return CircleFunction.table(p, r, values, ring)
+    return CircleFunction.table(r, values, ring)
 
 
 def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
@@ -212,7 +201,6 @@ def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
         raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{conductor}] "
                              f"exceed the bound {limit}")
     rng = random.Random(seed)
-    ring = standard_ring(p, r)
     decision_group = FinAbGroup(p, (r,))
     pool = [g for g in enumerate_groups(p, p ** (r + 1))
             if g.exponents and g.exponents[0] == r]
@@ -220,16 +208,16 @@ def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
                           {"p": p, "r": r, "samples": samples, "seed": seed,
                            "extra_groups": extra_groups})
     for i in range(samples):
-        fn = random_table_function(p, r, rng, ring)
-        v_criterion = invertibility_criterion(fn, p, r).overall
-        v_det = matrix_is_invertible(decision_group, fn, ring)
+        fn = random_table_function(p, r, rng)
+        v_criterion = invertibility_criterion(fn, r).overall
+        v_det = matrix_is_invertible(decision_group, fn)
         ok = v_criterion == v_det
         decided = {decision_group: v_det}
         extras = {}
         for _ in range(extra_groups):
             g = pool[rng.randrange(len(pool))]
             if g not in decided:
-                decided[g] = matrix_is_invertible(g, fn, ring)
+                decided[g] = matrix_is_invertible(g, fn)
             extras[g.notation()] = decided[g]
             ok = ok and (decided[g] == v_criterion)
         report.add(f"sample-{i}", f"p={p}, r={r}, sample {i}", ok,
@@ -241,29 +229,22 @@ def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
 # -- naturality -----------------------------------------------------------
 
 
-def _require_defined(fn: CircleFunction, ring: CycloRing, *groups: FinAbGroup) -> None:
-    """Raise ValueError unless fn has values in ring on every pairing of the groups."""
-    for g in groups:
-        e1 = g.exponents[0] if g.exponents else 0
-        if not fn.covers_level(e1):
-            raise ValueError("circle function not defined at the group's level")
-        fn.value_at(PadicCircle.zero(g.prime), ring)  # a wrong prime or ring raises
-
-
-def naturality_check(f: GroupHom, fn: CircleFunction, ring: CycloRing) -> bool:
+def naturality_check(f: GroupHom, fn: CircleFunction) -> bool:
     """Entrywise check that the transform commutes with the homomorphism.
 
     For every v in the source and l over the target's dual, the value at
-    <f(v), l> must equal the value at <v, f_dual(l)>.
+    <f(v), l> must equal the value at <v, f_dual(l)>.  ValueError unless fn
+    is defined on both groups, checked up front: a hom may pair to 0 alone.
     """
     V, W = f.source, f.target
-    _require_defined(fn, ring, V, W)
+    for g in (V, W):
+        fn.check_defined(g.prime, g.exponents[0] if g.exponents else 0)
     fs = dual_hom(f)
     for v in elements(V):
         w = f.apply(v)
         for l in dual_elements(W):
-            lhs = fn.value_at(pairing(w, l), ring)
-            rhs = fn.value_at(pairing(v, fs.apply_dual(l)), ring)
+            lhs = fn.value_at(pairing(w, l))
+            rhs = fn.value_at(pairing(v, fs.apply_dual(l)))
             if lhs != rhs:
                 return False
     return True
@@ -291,27 +272,27 @@ def _adjoint_entries(V: FinAbGroup, W: FinAbGroup) -> list[list[int | None]]:
 
 
 def _naturality_pair(V: FinAbGroup, W: FinAbGroup, fn: CircleFunction,
-                     ring: CycloRing, limit: int) -> tuple[bool, int, dict | None]:
+                     limit: int) -> tuple[bool, int, dict | None]:
     """Every hom V -> W, its adjoint compared with the entries the pairings demand.
 
     ``enumerate_homs`` yields the product of ``hom_entry_choices`` in order,
-    so the product of ``_adjoint_entries`` walks in step with it.
+    so the product of ``_adjoint_entries`` walks in step with it.  fn is
+    evaluated only when an adjoint differs: the caller checks that fn is
+    defined on V and W.
     """
-    _require_defined(fn, ring, V, W)
     expected = itertools.product(*_adjoint_entries(V, W))
     count = 0
     for f, want in zip(enumerate_homs(V, W, limit=limit), expected, strict=True):
         count += 1
         # the adjoint's columns, i = 0, 1, ..., list its entries (j, i) in f's order
         holds = sum(zip(*dual_hom(f).matrix), ()) == want
-        if not holds and not naturality_check(f, fn, ring):
+        if not holds and not naturality_check(f, fn):
             return False, count, {"hom": [list(r) for r in f.matrix],
                                   "source": V.notation(), "target": W.notation()}
     return True, count, None
 
 
 def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
-                     ring: CycloRing | None = None,
                      limit: int = DEFAULT_BUDGET) -> VerifyReport:
     """Naturality squares for every homomorphism between groups up to the bound.
 
@@ -329,19 +310,20 @@ def naturality_sweep(p: int, max_order: int, fn: CircleFunction | None = None,
     one ``dual_hom`` call and one tuple comparison.  A hom whose adjoint
     differs is decided by the entrywise ``naturality_check`` with fn, so
     verdicts stay exact even for a faulty ``dual_hom``; the first hom it
-    rejects is the witness.  The pair with the most homs is checked against
+    rejects is the witness.  ValueError unless fn is defined on every group
+    up to ``max_order``, checked before the budget: each square holds
+    without evaluating fn.  The pair with the most homs is checked against
     ``limit`` before any pair is enumerated.
     """
     fn = fn if fn is not None else CircleFunction.spike(p)
-    if ring is None:
-        ring = fn.ring if fn.kind == "table" else spike_ring(p)
+    fn.check_defined(p, _top_exponent(p, max_order))
     _require_sweep_hom_budget(p, max_order, limit)
     groups = enumerate_groups(p, max_order)
     report = VerifyReport("verify-naturality",
                           {"p": p, "max_order": max_order, "alpha": fn.label()})
     for V in groups:
         for W in groups:
-            ok, count, witness = _naturality_pair(V, W, fn, ring, limit)
+            ok, count, witness = _naturality_pair(V, W, fn, limit)
             payload = {"homs": count}
             if witness is not None:
                 payload["failure"] = witness
@@ -363,10 +345,10 @@ def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None
     exceeds it, or when the naturality part would enumerate more than
     ``limit`` homs for some group pair, as in ``naturality_sweep``.
     """
-    fn, ring = CircleFunction.spike(p), spike_ring(p)
+    fn = CircleFunction.spike(p)
     n = p ** _top_exponent(p, max_order)  # the largest group order
     if n ** 3 > limit:
-        raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{ring.conductor}] "
+        raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{fn.ring.conductor}] "
                              f"exceed the bound {limit}")
     if hom_order_bound:
         _require_sweep_hom_budget(p, min(hom_order_bound, max_order), limit)
@@ -374,15 +356,15 @@ def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None
     report = VerifyReport("verify-iso",
                           {"p": p, "max_order": max_order, "alpha": fn.label(),
                            "hom_order_bound": hom_order_bound,
-                           "conductor": ring.conductor})
+                           "conductor": fn.ring.conductor})
     for group in groups:
-        mat = transform_matrix(group, fn, ring)
+        mat = transform_matrix(group, fn)
         det = determinant(mat)
         payload: dict = {"determinant": det.coeff_strings()}
         if dump_matrix:
             payload["matrix"] = mat.to_json()
         report.add(f"iso-{group.notation()}", f"V={group.notation()}", is_unit(det), payload)
     if hom_order_bound:
-        sub = naturality_sweep(p, min(hom_order_bound, max_order), fn, ring, limit=limit)
+        sub = naturality_sweep(p, min(hom_order_bound, max_order), fn, limit=limit)
         report.extend(sub.checks)
     return report

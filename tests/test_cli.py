@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import inspect
 import io
 import json
@@ -66,6 +67,27 @@ def test_verify_iso_with_dump(capsys):
     iso_checks = [c for c in payload["checks"] if c["id"].startswith("iso-")]
     assert len(iso_checks) == 4
     assert all("matrix" in c["witness"] for c in iso_checks)
+
+
+# CLI outputs, at the default budget, that no digest in bench/digests.json pins:
+# the dumped matrices are transform_matrix's output verbatim.
+STDOUT_DIGESTS = [
+    (("verify", "iso", "--p", "2", "--max-order", "16", "--dump-matrix"),
+     "14c7e0401da0b5fb4374635b99e74bbffa47ef025166dafd1550b66fbb3a7711"),
+    (("verify", "iso", "--p", "3", "--max-order", "27", "--dump-matrix"),
+     "83e25c9ef22e64a8249c9f60307d735522ba85d7a4d99a95c1f6711586092137"),
+    (("verify", "criterion-oracle", "--p", "2", "--r", "2"),
+     "6d190e7ab2cf36d5d57cb0c899a131cd4eb248bb0c6aa4af37eace16008896c0"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", STDOUT_DIGESTS,
+                         ids=[" ".join(argv[1:]) for argv, _ in STDOUT_DIGESTS])
+def test_stdout_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["failed"] == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_criterion_oracle_deterministic(capsys):

@@ -184,31 +184,29 @@ def test_transform_matrix_of_root_table_matches_character_table():
         for point in circle_points(g.prime, e1):
             scaled = point.numerator * (M // g.prime ** point.level) % M
             values[point] = ring.zeta(scaled)
-        fn = CircleFunction.table(g.prime, e1, values, ring)
-        assert transform_matrix(g, fn, ring) == character_table(g, ring)
+        fn = CircleFunction.table(e1, values, ring)
+        assert transform_matrix(g, fn) == character_table(g, ring)
 
 
-def _entrywise_transform(group, fn, ring):
-    return [fn.value_at(pairing(v, l), ring) for l in dual_elements(group)
+def _entrywise_transform(group, fn):
+    return [fn.value_at(pairing(v, l)) for l in dual_elements(group)
             for v in elements(group)]
 
 
 def test_transform_matrix_matches_the_entrywise_pairing():
     for p, max_order in ((2, 64), (3, 81), (5, 25)):
-        ring = get_ring(1, p)
         fn = CircleFunction.spike(p)
         for g in enumerate_groups(p, max_order):
-            assert transform_matrix(g, fn, ring).entries == tuple(
-                _entrywise_transform(g, fn, ring)), g
+            assert transform_matrix(g, fn).entries == tuple(
+                _entrywise_transform(g, fn)), g
     for p, r, max_order in ((2, 3, 32), (3, 2, 27), (5, 1, 25)):
-        ring = standard_ring(p, r)
         for seed in range(3):
-            fn = random_table_function(p, r, random.Random(seed), ring)
+            fn = random_table_function(p, r, random.Random(seed))
             for g in enumerate_groups(p, max_order):
                 if g.exponents and g.exponents[0] > r:
                     continue
-                assert transform_matrix(g, fn, ring).entries == tuple(
-                    _entrywise_transform(g, fn, ring)), g
+                assert transform_matrix(g, fn).entries == tuple(
+                    _entrywise_transform(g, fn)), g
 
 
 def test_is_unit_group_algebra_examples_and_oracle():

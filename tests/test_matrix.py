@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from cyclofourier import (CircleFunction, CycloElem, FinAbGroup, ModRing, RingMatrix,
                           determinant, determinant_expansion, enumerate_groups, get_ring,
                           is_unit, lift_conductor, matrix, norm, random_table_function,
-                          spike_ring, standard_ring, transform_matrix)
+                          standard_ring, transform_matrix)
 from cyclofourier.cli import main
 from cyclofourier.matrix import (_NotAField, _bareiss_int, _bareiss_vec, _det_by_embeddings,
                                  _det_modular)
@@ -143,10 +143,10 @@ def test_bareiss_int_property(data):
 
 @pytest.mark.parametrize("p, max_order", [(2, 64), (3, 81), (5, 25)])
 def test_bareiss_int_matches_dense_bareiss_on_every_spike_transform(p, max_order):
-    ring = spike_ring(p)
     fn = CircleFunction.spike(p)
+    ring = fn.ring
     for group in enumerate_groups(p, max_order):
-        mat = transform_matrix(group, fn, ring)
+        mat = transform_matrix(group, fn)
         rows = [[e.nums[0] for e in mat.row(i)] for i in range(mat.rows)]
         det = _bareiss_int([row[:] for row in rows])
         assert [det] == _bareiss_vec([[[c] for c in row] for row in rows], ring), group
@@ -168,10 +168,9 @@ def _random_cyclo_matrix(ring, n, rng):
 def test_bareiss_matches_expansion_on_transform_and_random_matrices():
     rng = random.Random(204)
     for p, exps, r in _TRANSFORM_CASES:
-        ring = standard_ring(p, r)
         for seed in range(4):
-            fn = random_table_function(p, r, random.Random(seed), ring)
-            mat = transform_matrix(FinAbGroup(p, exps), fn, ring)
+            fn = random_table_function(p, r, random.Random(seed))
+            mat = transform_matrix(FinAbGroup(p, exps), fn)
             assert determinant(mat) == determinant_expansion(mat)
     for M, p in ((18, 3), (20, 5), (8, 2), (7, 7)):
         ring = get_ring(M, p)
@@ -246,10 +245,9 @@ def test_split_prime_kernel_matches_bareiss_and_expansion():
 
 def test_split_prime_kernel_matches_bareiss_on_transform_matrices():
     for p, exps, r in _TRANSFORM_CASES + [(3, (2, 1), 2), (5, (1, 1), 1), (2, (3, 1), 3)]:
-        ring = standard_ring(p, r)
         for seed in range(6):
-            fn = random_table_function(p, r, random.Random(seed), ring)
-            _kernel_matches_bareiss(transform_matrix(FinAbGroup(p, exps), fn, ring))
+            fn = random_table_function(p, r, random.Random(seed))
+            _kernel_matches_bareiss(transform_matrix(FinAbGroup(p, exps), fn))
 
 
 def test_a_row_swap_under_one_embedding_only(monkeypatch, fresh_splits):
@@ -341,8 +339,8 @@ def test_norm_of_bareiss_determinant_matches_integer_regular_representation(p, e
     ring = standard_ring(p, r)
     verdicts = []
     for seed in seeds:
-        fn = random_table_function(p, r, random.Random(seed), ring)
-        mat = transform_matrix(FinAbGroup(p, exps), fn, ring)
+        fn = random_table_function(p, r, random.Random(seed))
+        mat = transform_matrix(FinAbGroup(p, exps), fn)
         big, scale = _regular_representation(mat)
         expected = _bareiss_int(big)
         det_norm = norm(determinant(mat))
