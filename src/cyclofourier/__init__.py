@@ -16,9 +16,7 @@ from .chargauss import (Character, UnitGroupStructure, check_gauss_identities,
 from .groupalgebra import (AlgElem, FunElem, algebra_one, basis_element, character_table,
                            convolution_matrix, convolve, evaluate_at_characters,
                            fourier_inverse, fourier_inversion_report, fourier_transform,
-                           is_unit_group_algebra, is_unit_monoid_algebra,
-                           monoid_multiplication_matrix, standard_fourier_ring,
-                           transform_matrix)
+                           is_unit_group_algebra, standard_fourier_ring, transform_matrix)
 from .isoverify import (CircleFunction, CriterionReport, criterion_vs_determinant,
                         invertibility_criterion, matrix_is_invertible, natural_iso_sweep,
                         naturality_check, naturality_sweep, random_table_function)

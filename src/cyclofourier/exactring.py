@@ -18,7 +18,8 @@ The power-basis kernel, each loop once: ``_convolve`` (schoolbook product;
 ``_gauss_sum_lower``, ``groupalgebra._rows_are_orthogonal``), ``_substitute``
 (zeta^i -> zeta^(i k); ``galois_conjugate``, ``lift_conductor``) and
 ``_adjugate_norm`` (product of the nontrivial conjugates, and the norm;
-``norm``, ``inverse``, ``matrix._vec_adjugate_norm``).
+``norm``, ``inverse``, and the dense Bareiss test oracle in
+``tests/bareiss_oracle.py``).
 
 Values are immutable after construction and hashable; every operation
 returns a new value, so they are safe to share across threads.
@@ -352,6 +353,9 @@ class CycloElem:
                 q = p ** k
                 nums = [c // q for c in nums]
                 exp -= k
+        elif exp < 0:
+            nums = [c * p ** -exp for c in nums]
+            exp = 0
         self.ring = ring
         self.nums = tuple(nums)
         self.exp = exp

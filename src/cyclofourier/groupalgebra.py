@@ -114,7 +114,6 @@ from functools import lru_cache
 from operator import add, mul, neg, sub
 from typing import Sequence
 
-from .chargauss import enumerate_characters, units_mod
 from .exactring import CycloElem, CycloRing, _strip_p, get_ring, is_unit
 from .finab import (FinAbGroup, GroupElem, PadicCircle, _generator_indices, _top_exponent,
                     element_index, elements, enumerate_groups, pairing_numerators)
@@ -322,7 +321,7 @@ def transform_matrix(group: FinAbGroup, fn) -> RingMatrix:
     return _pairing_matrix(group, fn.ring, values)
 
 
-# -- unit tests in group and monoid algebras ----------------------------
+# -- unit tests in group algebras ---------------------------------------
 
 
 def is_unit_group_algebra(x: AlgElem) -> bool:
@@ -340,50 +339,6 @@ def convolution_matrix(x: AlgElem) -> RingMatrix:
         for u in range(n):
             entries[u * n + w] = x.coeffs[element_index(group, (els[u] - els[w]).coords)]
     return RingMatrix(x.ring, n, n, entries)
-
-
-def monoid_multiplication_matrix(coeffs: Sequence[CycloElem], N: int) -> RingMatrix:
-    """Matrix of y -> x y in the algebra of the multiplicative monoid Z/N."""
-    if len(coeffs) != N:
-        raise ValueError("one coefficient per residue required")
-    ring = coeffs[0].ring
-    cols = [[ring.zero] * N for _ in range(N)]
-    for s in range(N):
-        cs = coeffs[s]
-        if cs:
-            for t in range(N):
-                w = s * t % N
-                cols[t][w] = cols[t][w] + cs
-    entries = []
-    for w in range(N):
-        for t in range(N):
-            entries.append(cols[t][w])
-    return RingMatrix(ring, N, N, entries)
-
-
-def is_unit_monoid_algebra(coeffs: Sequence[CycloElem], p: int, r: int) -> bool:
-    """Unit test in the algebra of the multiplicative monoid Z/p^r.
-
-    The kernel of (augmentation, restriction-to-units) is nilpotent, so x
-    is a unit iff the coefficient sum is a unit and the restriction to the
-    unit group is a unit there (checked through all its characters).
-    """
-    N = p ** r
-    if len(coeffs) != N:
-        raise ValueError("one coefficient per residue mod p^r required")
-    ring = coeffs[0].ring
-    augmentation = ring.zero
-    for c in coeffs:
-        augmentation = augmentation + c
-    if not is_unit(augmentation):
-        return False
-    for chi in enumerate_characters(p, r, ring):
-        s = ring.zero
-        for t in units_mod(N):
-            s = s + coeffs[t % N] * chi.eval(t)
-        if not is_unit(s):
-            return False
-    return True
 
 
 # -- inversion sweep -----------------------------------------------------

@@ -348,8 +348,7 @@ def natural_iso_sweep(p: int, max_order: int, hom_order_bound: int | None = None
     fn = CircleFunction.spike(p)
     n = p ** _top_exponent(p, max_order)  # the largest group order
     if n ** 3 > limit:
-        raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{fn.ring.conductor}] "
-                             f"exceed the bound {limit}")
+        raise BudgetExceeded(f"{n}x{n} determinants over Z[1/{p}] exceed the bound {limit}")
     if hom_order_bound:
         _require_sweep_hom_budget(p, min(hom_order_bound, max_order), limit)
     groups = enumerate_groups(p, max_order)

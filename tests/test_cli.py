@@ -90,6 +90,21 @@ def test_stdout_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def test_every_benchmark_report_matches_its_stored_digest(monkeypatch, tmp_path):
+    # The reports the benchmark pins, written through --output; bench/ is only read.
+    digests = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
+    reports = json.loads(digests.read_text(encoding="utf-8"))["reports"]
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    output = tmp_path / "report"
+    differ = []
+    for key, digest in reports.items():
+        output.unlink(missing_ok=True)
+        code = main(key.split() + ["--output", str(output)])
+        if code != 0 or hashlib.sha256(output.read_bytes()).hexdigest() != digest:
+            differ.append((key, code))
+    assert reports and differ == []
+
+
 def test_verify_criterion_oracle_deterministic(capsys):
     args = ("verify", "criterion-oracle", "--p", "2", "--r", "2",
             "--samples", "12", "--seed", "42")
@@ -388,7 +403,14 @@ def test_iso_respects_the_budget(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["failed"] == 0
     monkeypatch.setenv("CYCLO_BUDGET", str(estimate - 1))
     code, out, err = run_cli(capsys, *argv)
-    assert code == 3 and out == "" and f"the bound {estimate - 1}" in err
+    assert code == 3 and out == ""
+    assert err == ("budget exceeded: 125x125 determinants over Z[1/5] "
+                   f"exceed the bound {estimate - 1}\n")
+    # the spike's ring is Z[1/p], the conductor-1 ring, whatever the group
+    monkeypatch.delenv("CYCLO_BUDGET")
+    code, out, err = run_cli(capsys, "verify", "iso", "--p", "7")
+    assert code == 3 and out == ""
+    assert err == "budget exceeded: 343x343 determinants over Z[1/7] exceed the bound 10000000\n"
 
 
 @pytest.mark.parametrize("argv", [

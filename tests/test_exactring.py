@@ -223,6 +223,18 @@ def test_equal_values_with_different_denominators_keep_the_eq_hash_contract(ring
         assert {x: "x"}[y] == "x"
 
 
+def test_a_negative_denominator_exponent_is_folded_into_the_numerators():
+    # 1 / 2^-1 is 2, and (3 + zeta) / 2^-2 is 4 * (3 + zeta)
+    z2 = get_ring(1, 2)
+    two = CycloElem(z2, (1,), -1)
+    assert (two.nums, two.exp) == ((2,), 0) and str(two) == "[2]"
+    assert two == z2.from_int(2) and hash(two) == hash(z2.from_int(2))
+    assert len({two, z2.from_int(2)}) == 1
+    ring = get_ring(4, 2)
+    x = CycloElem(ring, (3, 1), -2)
+    assert x == 4 * (3 + ring.zeta(1)) and hash(x) == hash(4 * (3 + ring.zeta(1)))
+
+
 def test_localized_ints_over_different_primes_are_unequal_but_hashable_together():
     two, three = zp(5, 0, 2), zp(5, 0, 3)
     assert two != three and not three == two

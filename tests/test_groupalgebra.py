@@ -14,9 +14,8 @@ from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, Pa
                           dual_elements, element_index, elements, enumerate_groups,
                           evaluate_at_characters, fourier_inverse, fourier_transform,
                           fourier_inversion_report, get_ring, is_unit,
-                          is_unit_group_algebra, lift_conductor, is_unit_monoid_algebra,
-                          monoid_multiplication_matrix, pairing, standard_fourier_ring,
-                          standard_ring, transform_matrix)
+                          is_unit_group_algebra, lift_conductor, pairing,
+                          standard_fourier_ring, standard_ring, transform_matrix)
 from cyclofourier import groupalgebra
 from cyclofourier.finab import _generator_indices, pairing_numerators
 from cyclofourier.isoverify import CircleFunction, random_table_function
@@ -237,29 +236,6 @@ def test_convolution_matrix_shapes():
     for j, w in enumerate(elements(g)):
         i = element_index(g, (w + v).coords)
         assert perm.at(i, j) == ring.one
-
-
-def test_monoid_algebra_units():
-    p, r = 2, 2
-    N = p ** r
-    ring = standard_ring(p, r)
-    one = [ring.one if t == 1 else ring.zero for t in range(N)]
-    assert is_unit_monoid_algebra(one, p, r)
-    basis_p = [ring.one if t == p else ring.zero for t in range(N)]
-    assert not is_unit_monoid_algebra(basis_p, p, r)
-    one_plus_p = [ring.one if t in (1, p) else ring.zero for t in range(N)]
-    assert is_unit_monoid_algebra(one_plus_p, p, r)
-
-
-def test_monoid_units_against_determinant_oracle():
-    rng = random.Random(406)
-    for p, r in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
-        N = p ** r
-        ring = standard_ring(p, r)
-        for _ in range(20):
-            coeffs = [ring.from_int(rng.randint(-2, 2)) for _ in range(N)]
-            oracle = is_unit(determinant(monoid_multiplication_matrix(coeffs, N)))
-            assert is_unit_monoid_algebra(coeffs, p, r) == oracle
 
 
 def test_fourier_inversion_report_small():

@@ -1,0 +1,126 @@
+"""Checked-in mutants: each deliberate fault must make its named tests fail.
+
+Run from anywhere with ``python3 tools/mutants.py``; it needs pytest and
+the test dependencies, nothing else.  For each entry of ``MUTANTS`` the
+script copies ``src/`` to a temporary directory, replaces the entry's old
+text (which must occur exactly once in its file, so drift shows) with the
+new text there, and runs each named test in its own pytest process with
+``PYTHONPATH`` pointing at the copy.  A test kills the mutant when pytest
+exits 1 (tests failed); exit 0 means the mutant survived it, and any other
+exit (an unknown test id, a collection error) is reported as an error.
+The script exits 1 unless every named test kills its mutant.
+
+A new fast path adds its mutants here, each with the tests that catch it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # under src/cyclofourier
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids, relative to the repository root
+
+
+MUTANTS = [
+    Mutant("_det_mod keeps the sign across a row swap", "matrix.py",
+           "            rows[k], rows[r] = rows[r], rows[k]\n            det = -det\n",
+           "            rows[k], rows[r] = rows[r], rows[k]\n",
+           ("tests/test_matrix.py::test_split_prime_kernel_matches_bareiss_on_transform_matrices",
+            "tests/test_matrix.py::test_a_row_swap_under_one_embedding_only")),
+    Mutant("_bareiss_int drops the pending scale of the last entry", "matrix.py",
+           "return sign * (m[n - 1][n - 1] * prev // since[n - 1])",
+           "return sign * m[n - 1][n - 1]",
+           ("tests/test_matrix.py::test_bareiss_int_property",
+            "tests/test_matrix.py::test_bareiss_int_matches_dense_bareiss_on_every_spike_transform")),
+    Mutant("a failed adjoint comparison skips the entrywise check", "isoverify.py",
+           "if not holds and not naturality_check(f, fn):",
+           "if not holds and False:",
+           ("tests/test_isoverify.py::test_naturality_sweep_matches_oracle_under_a_faulty_dual_hom",)),
+    Mutant("check_defined accepts every prime and level", "isoverify.py",
+           '        """Raise ValueError unless the function is defined at every point a/prime^level."""\n',
+           '        """Raise ValueError unless the function is defined at every point a/prime^level."""\n'
+           "        return\n",
+           ("tests/test_isoverify.py::test_functions_undefined_on_a_group_are_refused_up_front",)),
+    Mutant("the Fourier proof skips its round trips", "groupalgebra.py",
+           "and _fixed_round_trips_hold(group, ring))",
+           "and True)",
+           ("tests/test_groupalgebra.py::test_each_proof_step_rejects_its_own_defect",)),
+    Mutant("CycloElem keeps a negative denominator exponent", "exactring.py",
+           "        elif exp < 0:\n            nums = [c * p ** -exp for c in nums]\n"
+           "            exp = 0\n",
+           "",
+           ("tests/test_exactring.py::"
+            "test_a_negative_denominator_exponent_is_folded_into_the_numerators",)),
+]
+
+
+def _apply(src: Path, mutant: Mutant) -> str | None:
+    """Write the mutant into the copy at src; an error message if its old text is not unique."""
+    path = src / "cyclofourier" / mutant.file
+    text = path.read_text(encoding="utf-8")
+    count = text.count(mutant.old)
+    if count != 1:
+        return f"old text found {count} times in {mutant.file}, not once"
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return None
+
+
+def _run_test(src: Path, test: str) -> int:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.call([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                            test], cwd=ROOT, env=env,
+                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def check(mutant: Mutant) -> list[str]:
+    """The problems with one mutant: every named test must fail on it."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        error = _apply(src, mutant)
+        if error:
+            return [error]
+        problems = []
+        for test in mutant.tests:
+            code = _run_test(src, test)
+            if code == 0:
+                problems.append(f"survived {test}")
+            elif code != 1:
+                problems.append(f"pytest exit {code} on {test}")
+        return problems
+
+
+def main() -> int:
+    start = time.perf_counter()
+    failed = 0
+    for mutant in MUTANTS:
+        t0 = time.perf_counter()
+        problems = check(mutant)
+        status = "FAIL" if problems else "killed"
+        print(f"{status:6} {mutant.file}: {mutant.name} ({time.perf_counter() - t0:.1f} s)",
+              flush=True)
+        for problem in problems:
+            print(f"       {problem}", flush=True)
+        failed += bool(problems)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - start:.1f} s")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
