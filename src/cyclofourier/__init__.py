@@ -22,8 +22,7 @@ from .isoverify import (CircleFunction, CriterionReport, criterion_vs_determinan
                         naturality_check, naturality_sweep, random_table_function)
 from .diagonalize import (DiagVerdict, SplitVerificationError, VandermondeSplit,
                           complete_idempotent_set, count_idempotents_group_algebra,
-                          decide_diag_cyclic, decide_diag_group, idempotents_mod,
-                          vandermonde_iso)
+                          decide_diag_cyclic, idempotents_mod, vandermonde_iso)
 from .report import BudgetExceeded, CheckEntry, VerifyReport
 
 __version__ = "0.1.0"

@@ -4,6 +4,14 @@ A character is stored by its exponents on a fixed generating set of the
 unit group, with values in a cyclotomic ring whose conductor is a common
 multiple of the generator orders.  Gauss sums are evaluated exactly by
 accumulating root-of-unity exponents and reducing once.
+
+One norm per character decides whether its twisted sums are units.  For p
+not dividing u, t -> u^-1 t gives G(chi, eps_u) = chi(u^-1) G(chi, eps_1)
+(Ireland and Rosen, ch. 8), whose norm is N(zeta^k) N(G(chi, eps_1)) =
++-N(G(chi, eps_1)): a twisted sum equal to its expected value is a unit
+exactly when the base sum G(chi, eps_1) is.  ``check_gauss_identities`` and
+``gauss_table_rows`` check that equality on each coprime row, and a row
+where it holds takes the unit flag of the base sum.
 """
 
 from __future__ import annotations
@@ -11,10 +19,10 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactring import (CycloElem, CycloRing, euler_phi, get_ring, is_unit)
-from .report import VerifyReport
+from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
 
 
 def _standard_conductor(p: int, r: int) -> int:
@@ -151,12 +159,13 @@ class Character:
 
     def __eq__(self, other):
         if isinstance(other, Character):
-            return (self.modulus, self.exponents, self.ring) == \
-                   (other.modulus, other.exponents, other.ring)
+            return (self.modulus, self.structure.generators, self.exponents, self.ring) == \
+                   (other.modulus, other.structure.generators, other.exponents, other.ring)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.modulus, self.exponents, self.ring.conductor))
+        return hash((self.modulus, self.structure.generators, self.exponents,
+                     self.ring.conductor))
 
     def label(self) -> str:
         return "chi(" + ",".join(map(str, self.exponents)) + f") mod {self.modulus}"
@@ -185,32 +194,52 @@ def is_primitive(chi: Character) -> bool:
     return chi.value_exponent(1 + p ** (r - 1)) != 0
 
 
-def gauss_sum(chi: Character, u: int) -> CycloElem:
-    """G_N(chi, eps_u) = sum over units t of chi(t) * zeta_N^(u t)."""
+def _gauss_sum_over(chi: Character, units: Sequence[int], N: int, u: int) -> CycloElem:
+    """Sum over t in units of chi(t) * zeta_N^(u t), units a prefix of chi.structure.units."""
     ring = chi.ring
-    N = chi.modulus
     M = ring.conductor
     if M % N:
         raise ValueError(f"conductor {M} does not contain the {N}-th roots of unity")
     scale = M // N
-    return ring.zeta_sum([v + u * t * scale for t, v in zip(chi.structure.units, chi.value_row())])
+    return ring.zeta_sum([v + u * t * scale for t, v in zip(units, chi.value_row())])
+
+
+def gauss_sum(chi: Character, u: int) -> CycloElem:
+    """G_N(chi, eps_u) = sum over units t of chi(t) * zeta_N^(u t)."""
+    return _gauss_sum_over(chi, chi.structure.units, chi.modulus, u)
 
 
 def _gauss_sum_lower(chi: Character, u_prime: int) -> CycloElem:
-    """G at level p^(r-1) of the characters induced by an imprimitive chi and eps_(p u')."""
-    p = chi.structure.prime
-    r = chi.structure.power
-    N_low = p ** (r - 1)
-    ring = chi.ring
-    M = ring.conductor
-    if M % N_low:
-        raise ValueError("conductor too small for the reduced level")
-    scale = M // N_low
-    # The units t < p^(r-1) are also units mod p^r and the first entries of
-    # chi's value row; chi factors through the reduction, so chi at the lift
-    # is the induced character.
-    return ring.zeta_sum([v + u_prime * t * scale
-                          for t, v in zip(units_mod(N_low), chi.value_row())])
+    """G at level p^(r-1) of the characters induced by an imprimitive chi and eps_(p u').
+
+    The units t < p^(r-1) are also units mod p^r and the first entries of
+    chi's value row; chi factors through the reduction, so chi at the lift
+    is the induced character.
+    """
+    N_low = chi.modulus // chi.structure.prime
+    return _gauss_sum_over(chi, units_mod(N_low), N_low, u_prime)
+
+
+def _level_sums(p: int, r: int) -> Iterator[tuple[Character, list[CycloElem]]]:
+    """Each character mod N = p^r, with its N sums G(chi, eps_u) for u = 0 .. N - 1."""
+    for chi in enumerate_characters(p, r, standard_ring(p, r)):
+        yield chi, [gauss_sum(chi, u) for u in range(p ** r)]
+
+
+def _require_gauss_budget(p: int, max_r: int, limit: int) -> None:
+    """BudgetExceeded unless the Gauss sums of levels 1..max_r have at most limit terms.
+
+    Level r has N phi(N) sums G(chi, eps_u), one per character and shift
+    u mod N = p^r, of phi(N) terms each.  The levels are counted up to the
+    first one past the limit, so a huge p or max_r costs nothing.
+    """
+    terms = 0
+    for r in range(1, max_r + 1):
+        N = p ** r
+        terms += N * (N - N // p) ** 2
+        if terms > limit:
+            raise BudgetExceeded(f"Gauss sums of p = {p} up to level {max_r}: {terms} terms "
+                                 f"by level {r} exceed the bound {limit}")
 
 
 def check_gauss_identities(p: int, r: int) -> VerifyReport:
@@ -220,48 +249,52 @@ def check_gauss_identities(p: int, r: int) -> VerifyReport:
     coprime gives a unit satisfying G(chi, eps_u) = chi(u)^(-1) G(chi, eps);
     primitive chi with gcd(u, N) > 1 gives 0; imprimitive chi with
     injective eps_u gives 0; imprimitive chi with p | u reduces to level
-    p^(r-1) with a factor p (direct evaluation at level 1).
-
-    The unit test takes one norm per primitive chi, of G(chi, eps), not one
-    per twisted sum.  This decides the same verdicts: if G(chi, eps_u) equals
-    the expected chi(u^-1) G(chi, eps), its norm is N(zeta^k) N(G(chi, eps))
-    = +-N(G(chi, eps)), so it is a unit exactly when G(chi, eps) is; if it
-    differs from the expected value, the check fails either way.
+    p^(r-1) with a factor p (direct evaluation at level 1).  The unit test
+    takes one norm per primitive chi, by the argument of the module docstring.
     """
     ring = standard_ring(p, r)
     N = p ** r
     report = VerifyReport("verify-gauss", {"p": p, "r": r, "conductor": ring.conductor})
-    characters = enumerate_characters(p, r, ring)
-    for chi in characters:
+    for chi, sums in _level_sums(p, r):
+        label = chi.label()
         primitive = is_primitive(chi)
-        base = gauss_sum(chi, u=1)
+        base = sums[1]
         base_unit = primitive and is_unit(base)
-        for u in range(N):
-            value = gauss_sum(chi, u=u)
-            ident = f"N{N}-{chi.label()}-u{u}"
-            subject_prefix = f"{chi.label()}, u={u}"
-            if primitive:
-                if math.gcd(u, N) == 1:
-                    inv_u = pow(u, -1, N)
-                    expected = chi.eval(inv_u) * base
-                    ok = value == expected and base_unit
-                    report.add(ident, subject_prefix + ": unit and twist relation",
-                               ok, {"sum": value.coeff_strings()})
-                else:
-                    report.add(ident, subject_prefix + ": vanishes (non-coprime shift)",
-                               not value, {"sum": value.coeff_strings()})
+        for u, value in enumerate(sums):
+            if primitive and u % p:
+                subject = "unit and twist relation"
+                ok = value == chi.eval(pow(u, -1, N)) * base and base_unit
+            elif primitive:
+                subject, ok = "vanishes (non-coprime shift)", not value
+            elif r == 1:
+                # only the trivial character is imprimitive at level 1
+                subject = "level-1 direct value"
+                ok = value == (ring.from_int(p - 1) if u % p == 0 else -ring.one)
+            elif u % p:
+                subject, ok = "vanishes (injective shift)", not value
             else:
-                if r == 1:
-                    # only the trivial character is imprimitive at level 1
-                    expected = ring.from_int(p - 1) if u % p == 0 else -ring.one
-                    report.add(ident, subject_prefix + ": level-1 direct value",
-                               value == expected, {"sum": value.coeff_strings()})
-                elif u % p:
-                    report.add(ident, subject_prefix + ": vanishes (injective shift)",
-                               not value, {"sum": value.coeff_strings()})
-                else:
-                    lower = _gauss_sum_lower(chi, u // p)
-                    ok = value == ring.from_int(p) * lower
-                    report.add(ident, subject_prefix + ": reduces to the lower level",
-                               ok, {"sum": value.coeff_strings()})
+                subject = "reduces to the lower level"
+                ok = value == ring.from_int(p) * _gauss_sum_lower(chi, u // p)
+            report.add(f"N{N}-{label}-u{u}", f"{label}, u={u}: {subject}", ok,
+                       {"sum": value.coeff_strings()})
     return report
+
+
+def gauss_table_rows(p: int, max_r: int, limit: int = DEFAULT_BUDGET) -> Iterator[tuple]:
+    """(N, chi, u, G(chi, eps_u), whether it is a unit) for N = p^r, r = 1 .. max_r.
+
+    A coprime row whose sum is the twist chi(u^-1) G(chi, eps_1) takes the
+    unit flag of its base sum, by the argument of the module docstring; every
+    other row (p | u, or a twist that fails) takes ``is_unit`` of its own
+    value.  BudgetExceeded is raised before any sum when the levels have more
+    than ``limit`` terms.
+    """
+    _require_gauss_budget(p, max_r, limit)
+    for r in range(1, max_r + 1):
+        N = p ** r
+        for chi, sums in _level_sums(p, r):
+            base = sums[1]
+            base_unit = is_unit(base)
+            for u, value in enumerate(sums):
+                twisted = u % p and value == chi.eval(pow(u, -1, N)) * base
+                yield N, chi, u, value, base_unit if twisted else is_unit(value)

@@ -23,10 +23,10 @@ import os
 import sys
 from typing import Callable, TextIO
 
-from .chargauss import check_gauss_identities, enumerate_characters, gauss_sum, standard_ring
+from .chargauss import _require_gauss_budget, check_gauss_identities, gauss_table_rows
 from .diagonalize import (SplitVerificationError, _require_cyclotomic_budget,
-                          decide_diag_cyclic, decide_diag_group, vandermonde_iso)
-from .exactring import _is_prime, cyclotomic_polynomial, is_unit
+                          decide_diag_cyclic, vandermonde_iso)
+from .exactring import _is_prime, cyclotomic_polynomial
 from .groupalgebra import fourier_inversion_report
 from .isoverify import criterion_vs_determinant, natural_iso_sweep, naturality_sweep
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport, _render
@@ -67,22 +67,6 @@ def _budget_from_env() -> int:
     """CYCLO_BUDGET, the one budget of every command; DEFAULT_BUDGET when it is unset."""
     raw = os.environ.get("CYCLO_BUDGET")
     return DEFAULT_BUDGET if raw is None else _int_at_least("CYCLO_BUDGET", raw)
-
-
-def _require_gauss_budget(p: int, max_r: int, budget: int) -> None:
-    """BudgetExceeded unless the Gauss sums of levels 1..max_r have at most budget terms.
-
-    Level r has N phi(N) sums G(chi, eps_u), one per character and shift
-    u mod N = p^r, of phi(N) terms each.  The levels are counted up to the
-    first one past the budget, so a huge --p or --max-r costs nothing.
-    """
-    terms = 0
-    for r in range(1, max_r + 1):
-        N = p ** r
-        terms += N * (N - N // p) ** 2
-        if terms > budget:
-            raise BudgetExceeded(f"Gauss sums of p = {p} up to level {max_r}: {terms} terms "
-                                 f"by level {r} exceed the bound {budget}")
 
 
 def _emit(render: Callable[[TextIO], object], output: str | None, end: str = "\n") -> None:
@@ -164,13 +148,11 @@ def cmd_verify(args) -> int:
 def cmd_diag(args) -> int:
     budget = _budget_from_env()
     m = _int_at_least("--modulus", args.modulus, low=2)
-    if args.group is not None:
-        orders = [_int_at_least("--group", tok) for tok in args.group.split(",") if tok]
-        verdict = decide_diag_group(orders, m, limit=budget)
-        n = math.lcm(*orders) if orders else 1
-    else:
+    if args.group is None:
         n = _int_at_least("--n", args.n)
-        verdict = decide_diag_cyclic(n, m, limit=budget)
+    else:  # the exponent of the direct sum; math.lcm() of no orders is 1
+        n = math.lcm(*[_int_at_least("--group", tok) for tok in args.group.split(",") if tok])
+    verdict = decide_diag_cyclic(n, m, limit=budget)
     payload = verdict.to_json()
     if args.emit_iso and verdict.decision:
         split = vandermonde_iso(n, m, verdict.witness, limit=budget)
@@ -185,31 +167,11 @@ _TABLE_FIELDS = ("N", "chi_exponents", "u", "sum_coeffs", "is_unit")
 
 
 def cmd_gauss_table(args) -> int:
-    """One row per (N, chi, u), with G(chi, eps_u) and whether it is a unit.
-
-    One norm per chi decides its coprime rows: for p not dividing u, t -> u^-1 t
-    gives G(chi, eps_u) = chi(u^-1) G(chi, eps_1), whose norm is
-    N(zeta^k) N(G(chi, eps_1)) = +-N(G(chi, eps_1)), so it is a unit exactly
-    when the base sum is.  The identity is checked on each row; every other
-    row (p | u, or an identity that fails) takes ``is_unit`` of its own value.
-    """
+    """One row per (N, chi, u), with G(chi, eps_u) and whether it is a unit."""
     p = _prime("--p", args.p)
-    _require_gauss_budget(p, _int_at_least("--max-r", args.max_r), _budget_from_env())
-    rows = []
-    for r in range(1, args.max_r + 1):
-        N = p ** r
-        ring = standard_ring(p, r)
-        for chi in enumerate_characters(p, r, ring):
-            base = gauss_sum(chi, u=1)
-            base_unit = is_unit(base)
-            exponents = ";".join(map(str, chi.exponents))
-            for u in range(N):
-                value = gauss_sum(chi, u=u)
-                if u % p and value == chi.eval(pow(u, -1, N)) * base:
-                    unit = base_unit
-                else:
-                    unit = is_unit(value)
-                rows.append((N, exponents, u, ";".join(value.coeff_strings()), unit))
+    max_r = _int_at_least("--max-r", args.max_r)
+    rows = [(N, ";".join(map(str, chi.exponents)), u, ";".join(value.coeff_strings()), unit)
+            for N, chi, u, value, unit in gauss_table_rows(p, max_r, limit=_budget_from_env())]
     if args.format == "json":
         def render(out: TextIO) -> None:
             opening, closing = "[\n  ", "[]"

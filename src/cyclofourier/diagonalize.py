@@ -70,14 +70,6 @@ def decide_diag_cyclic(n: int, m: int, limit: int = DEFAULT_BUDGET) -> DiagVerdi
     return DiagVerdict(False, None, REASON_NO_ROOT)
 
 
-def decide_diag_group(orders: list[int], m: int, limit: int = DEFAULT_BUDGET) -> DiagVerdict:
-    """Same decision for a direct sum of cyclic groups: reduce to the exponent."""
-    if any(o < 1 for o in orders):
-        raise ValueError("cyclic orders must be >= 1")
-    n = math.lcm(*orders) if orders else 1
-    return decide_diag_cyclic(n, m, limit=limit)
-
-
 class SplitVerificationError(RuntimeError):
     """An assertion of the verified splitting failed (an arithmetic bug)."""
 

@@ -174,15 +174,13 @@ class IntPolynomial:
                     rem[i - db + j] -= c * bj
         return IntPolynomial(quot), IntPolynomial(rem[:db])
 
-    def evaluate(self, x: int, mod: int | None = None):
+    def evaluate(self, x: int, mod: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-            if mod is not None:
-                acc %= mod
+            acc = (acc * x + c) % mod
         return acc
 
-    def pretty(self, var: str = "X") -> str:
+    def pretty(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
@@ -194,7 +192,7 @@ class IntPolynomial:
                 body = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else str(abs(c))
-                power = var if k == 1 else f"{var}^{k}"
+                power = "X" if k == 1 else f"X^{k}"
                 body = mag + power
             if not parts:
                 parts.append(("-" if c < 0 else "") + body)

@@ -44,16 +44,15 @@ class CircleFunction:
 
     The function owns its ring, and the ring its prime: the function is
     defined on the p-power torsion for p = ``ring.prime``.  The spike takes
-    integer values, so its ring is Z[1/p] = ``get_ring(1, p)``; a table keeps
-    the ring of its values.  ``check_defined`` is the one guard: ValueError
-    at another prime or beyond a table's level.
+    integer values, so its ring is Z[1/p] = ``get_ring(1, p)``, and it has no
+    ``values``; a table keeps the ring of its values.  ``check_defined`` is
+    the one guard: ValueError at another prime or beyond a table's level.
     """
 
-    __slots__ = ("kind", "level", "values", "ring")
+    __slots__ = ("level", "values", "ring")
 
-    def __init__(self, kind: str, level: int | None,
-                 values: Mapping[PadicCircle, CycloElem] | None, ring: CycloRing):
-        self.kind = kind
+    def __init__(self, level: int | None, values: Mapping[PadicCircle, CycloElem] | None,
+                 ring: CycloRing):
         self.level = level
         self.values = values
         self.ring = ring
@@ -65,7 +64,7 @@ class CircleFunction:
     @classmethod
     def spike(cls, p: int) -> "CircleFunction":
         """Value 2 at every point 1/p^s with s >= 1, value 1 elsewhere; total."""
-        return cls("spike", None, None, get_ring(1, p))
+        return cls(None, None, get_ring(1, p))
 
     @classmethod
     def table(cls, level: int, values: Mapping[PadicCircle, CycloElem],
@@ -76,7 +75,7 @@ class CircleFunction:
                              "for the prime of its ring")
         if any(v.ring != ring for v in values.values()):
             raise ValueError("table value from the wrong ring")
-        return cls("table", level, dict(values), ring)
+        return cls(level, dict(values), ring)
 
     def check_defined(self, prime: int, level: int) -> None:
         """Raise ValueError unless the function is defined at every point a/prime^level."""
@@ -88,12 +87,12 @@ class CircleFunction:
 
     def value_at(self, x: PadicCircle) -> CycloElem:
         self.check_defined(x.prime, x.level)
-        if self.kind == "spike":
+        if self.values is None:
             return self.ring.from_int(2 if x.numerator == 1 else 1)
         return self.values[x]
 
     def label(self) -> str:
-        if self.kind == "spike":
+        if self.values is None:
             return f"spike(p={self.prime})"
         return f"table(p={self.prime}, level={self.level})"
 

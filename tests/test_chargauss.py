@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from cyclofourier import (chargauss, check_gauss_identities, enumerate_characters,
-                          euler_phi, gauss_sum, get_ring, is_primitive, is_unit,
-                          standard_ring, unit_group_generators, units_mod)
+from cyclofourier import (Character, UnitGroupStructure, chargauss, check_gauss_identities,
+                          enumerate_characters, euler_phi, gauss_sum, get_ring, is_primitive,
+                          is_unit, standard_ring, unit_group_generators, units_mod)
 
 
 def test_unit_group_generators():
@@ -38,6 +38,19 @@ def test_enumerate_characters_counts():
         chars = enumerate_characters(p, r, standard_ring(p, r))
         assert len(chars) == euler_phi(p ** r)
         assert len(set(chars)) == len(chars)
+
+
+def test_characters_on_other_generators_are_distinct():
+    # chi(2) = zeta^5 on the generator 2 of (Z/5)^x, but -zeta^5 on the generator 3
+    ring = standard_ring(5, 1)
+    on_2 = Character(UnitGroupStructure(5, 1, [(2, 4)]), (1,), ring)
+    on_3 = Character(UnitGroupStructure(5, 1, [(3, 4)]), (1,), ring)
+    assert (on_2.eval(2), on_3.eval(2)) == (ring.zeta(5), -ring.zeta(5))
+    assert on_2 != on_3 and hash(on_2) != hash(on_3)
+    # equal enumerations still give equal, equal-hashing characters
+    for p, r in ((2, 3), (3, 2), (5, 1)):
+        first, second = (enumerate_characters(p, r, standard_ring(p, r)) for _ in range(2))
+        assert first == second and list(map(hash, first)) == list(map(hash, second))
 
 
 def test_conductor_too_small_rejected():

@@ -17,7 +17,7 @@ import pytest
 from cyclofourier import (diagonalize, enumerate_characters, enumerate_groups, finab,
                           gauss_sum, groupalgebra, is_primitive, is_unit, isoverify,
                           standard_ring)
-from cyclofourier import cli
+from cyclofourier import chargauss, cli
 from cyclofourier.cli import _emit_report, main
 from cyclofourier.diagonalize import SplitVerificationError
 from cyclofourier.report import DEFAULT_BUDGET, VerifyReport
@@ -90,6 +90,81 @@ def test_stdout_bytes_are_pinned(capsys, monkeypatch, argv, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+# Every check at its defaults, in each format, for p = 2, 3, 5.  Left out: the
+# configurations whose bytes another pin holds (criterion-oracle --p 2 json
+# above; naturality --p 2 json in CI; fourier --p 2 and iso --p 5 json, equal to
+# the stored digests of --max-order 32 and 125) and the runs over one second
+# (verify gauss --p 5, gauss-table --p 5, criterion-oracle --p 3).
+DEFAULT_STDOUT_DIGESTS = [
+    (("verify", "fourier", "--p", "2", "--format", "text"),
+     "637d0778bbff62cc9a2b1789409cf45598b7276b6b24ea7f985aedba7cc1231b"),
+    (("verify", "fourier", "--p", "3", "--format", "json"),
+     "958aca977c7174ffaba9586462ee82b84ed9140c1fb551c798800b9cffb1c324"),
+    (("verify", "fourier", "--p", "3", "--format", "text"),
+     "d2816962bde590e68ac823a797d8d7843579c9074df5a9d0f3f68c5c5b00de38"),
+    (("verify", "fourier", "--p", "5", "--format", "json"),
+     "45f8e4f77a47620b2b99bced9745857f2bb41b740636a115c5c933fe19ee29c4"),
+    (("verify", "fourier", "--p", "5", "--format", "text"),
+     "8b02bcd04da0b874148742233874f35811b07570574debfeed9c496cfb814e96"),
+    (("verify", "gauss", "--p", "2", "--format", "json"),
+     "7549ff7deab7ccfb59c57f962472cf3c6bab12dce41b2303f7b174a314b08164"),
+    (("verify", "gauss", "--p", "2", "--format", "text"),
+     "baf3d4ec44d7ed2d3c9356a372e479cff9da47a56c9287c712dfd2812537d0ef"),
+    (("verify", "gauss", "--p", "3", "--format", "json"),
+     "58b3066eccd9cde64d39d339a02c5f9d23c5ed09b8ed122661620b56665313c3"),
+    (("verify", "gauss", "--p", "3", "--format", "text"),
+     "9a4b300f7375bee3a9e2d7e1b1979f72dc04cfcaf2ebe787f5991c50a3697625"),
+    (("verify", "iso", "--p", "2", "--format", "json"),
+     "d0874ee985924919138da4beeb90f893da744abb357a2c4c695dc5550eda1572"),
+    (("verify", "iso", "--p", "2", "--format", "text"),
+     "a553e76a15dbde29354299e5e95ccee1460a0b70cc3a29fa5f226c0cf4a9cd2d"),
+    (("verify", "iso", "--p", "3", "--format", "json"),
+     "1256c248a64e0d71b00b10583a5e68dff59327dbdbd54e17ec93a35873a28169"),
+    (("verify", "iso", "--p", "3", "--format", "text"),
+     "d260d5d047c3a4dcfe1cd7c0bc211b2899a28f9c1182dd0f9be047eae5871b41"),
+    (("verify", "iso", "--p", "5", "--format", "text"),
+     "eaf6bed56adf03db05fdd89317472f68869331665ddf9e5871695c09caf11829"),
+    (("verify", "criterion-oracle", "--p", "2", "--format", "text"),
+     "4cce84d7c739c3043f06b58ad4c42871416960ac3caa923fde727ccb449d3c2e"),
+    (("verify", "naturality", "--p", "2", "--format", "text"),
+     "8eb143d35308145ad8b153230147c381f063a3c150872a28540d549d04317d12"),
+    (("verify", "naturality", "--p", "3", "--format", "json"),
+     "0f33816b24aa9136f06e61a9344d7a27788fb39de4ddab0e087d2650cc2169a8"),
+    (("verify", "naturality", "--p", "3", "--format", "text"),
+     "19b36c4d76427ae683eb5f56cf9563507e0c5efbbbbe6ea3eb4e6bb2e93a2b11"),
+    (("verify", "naturality", "--p", "5", "--format", "json"),
+     "3e276cc58b799a0adeb46c10b77b1d06bbdefcacecd9202c76759b394eeb558e"),
+    (("verify", "naturality", "--p", "5", "--format", "text"),
+     "7ecacdbf738648b575800b042fef204f6eb40ea7fa77726d76d871f646d6ad0e"),
+    (("gauss-table", "--p", "2", "--format", "csv"),
+     "2c97bf3b0c3d204d6505bdc166c739253f73084b38ffa99d5d715c40ec7a6be7"),
+    (("gauss-table", "--p", "2", "--format", "json"),
+     "b55fd34e946b51b7b11e6c6140918532eadc6c401ab7cff5757ebc76b29d263f"),
+    (("gauss-table", "--p", "3", "--format", "csv"),
+     "9287ddb8d4a9cd16db352f0d91b5043509710f187826aa92365f4a608537374b"),
+    (("gauss-table", "--p", "3", "--format", "json"),
+     "2d64eea91579743dfc84d0daf0e985574a552a1232fc015daf207c9e167c7fdb"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DEFAULT_STDOUT_DIGESTS,
+                         ids=[" ".join(argv) for argv, _ in DEFAULT_STDOUT_DIGESTS])
+def test_default_stdout_bytes_are_pinned(capsys, monkeypatch, argv, digest):
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_criterion_oracle_at_p5_defaults_exits_3(capsys, monkeypatch, fmt):
+    monkeypatch.delenv("CYCLO_BUDGET", raising=False)
+    code, out, err = run_cli(capsys, "verify", "criterion-oracle", "--p", "5", "--format", fmt)
+    assert (code, out) == (3, "")
+    assert err == ("budget exceeded: 125x125 determinants over Z[zeta_100] "
+                   "exceed the bound 10000000\n")
+
+
 def test_every_benchmark_report_matches_its_stored_digest(monkeypatch, tmp_path):
     # The reports the benchmark pins, written through --output; bench/ is only read.
     digests = Path(__file__).resolve().parents[1] / "bench" / "digests.json"
@@ -139,6 +214,19 @@ def test_diag_outputs(capsys):
         code, out, _ = run_cli(capsys, "diag", "--modulus", "5", "--group", orders)
         assert code == 0
         assert json.loads(out) == {"decision": True, "witness": 1}
+
+
+@pytest.mark.parametrize("orders, m, n, expected", [
+    ("2,2", 5, 2, {"decision": True, "witness": 4}),  # root of X + 1 mod 5
+    ("4", 7, 4, {"decision": False, "reason": "no-cyclotomic-root"}),
+    ("", 9, 1, {"decision": True, "witness": 1}),  # the trivial group
+    ("2,2", 6, 2, {"decision": False, "reason": "n-not-invertible"}),
+    ("2,3", 7, 6, {"decision": True, "witness": 3}),  # exponent lcm(2, 3) = 6
+])
+def test_diag_group_decides_its_exponent(capsys, orders, m, n, expected):
+    code, out, _ = run_cli(capsys, "diag", "--modulus", str(m), "--group", orders)
+    assert code == 0 and json.loads(out) == expected
+    assert run_cli(capsys, "diag", "--modulus", str(m), "--n", str(n))[1] == out
 
 
 def test_diag_emit_iso(capsys):
@@ -209,7 +297,7 @@ def test_gauss_table_twisted_rows_reuse_the_base_flag(capsys, monkeypatch):
 
     before = table()
     bases = []  # G(chi, eps_1) of each chi, kept alive so ids stay unique
-    real_sum, real_unit = cli.gauss_sum, cli.is_unit
+    real_sum, real_unit = chargauss.gauss_sum, chargauss.is_unit
 
     def marking_sum(chi, u):
         value = real_sum(chi, u=u)
@@ -220,8 +308,8 @@ def test_gauss_table_twisted_rows_reuse_the_base_flag(capsys, monkeypatch):
     def base_not_a_unit(x):
         return False if any(x is b for b in bases) else real_unit(x)
 
-    monkeypatch.setattr(cli, "gauss_sum", marking_sum)
-    monkeypatch.setattr(cli, "is_unit", base_not_a_unit)
+    monkeypatch.setattr(chargauss, "gauss_sum", marking_sum)
+    monkeypatch.setattr(chargauss, "is_unit", base_not_a_unit)
     after = table()
     primitive = {(3 ** r, ";".join(map(str, chi.exponents))): is_primitive(chi)
                  for r in (1, 2, 3) for chi in enumerate_characters(3, r, standard_ring(3, r))}
@@ -241,12 +329,12 @@ def test_every_budgeted_entry_point_defaults_to_the_one_budget():
         (finab.enumerate_homs, "limit"), (isoverify.naturality_sweep, "limit"),
         (isoverify.natural_iso_sweep, "limit"), (isoverify.criterion_vs_determinant, "limit"),
         (groupalgebra.fourier_inversion_report, "limit"),
-        (diagonalize.decide_diag_cyclic, "limit"), (diagonalize.decide_diag_group, "limit"),
+        (diagonalize.decide_diag_cyclic, "limit"), (chargauss.gauss_table_rows, "limit"),
         (diagonalize.vandermonde_iso, "limit"),
         (diagonalize.count_idempotents_group_algebra, "limit"),
     }
     # any other function of the package with a defaulted budget parameter counts as well
-    for module in (finab, isoverify, groupalgebra, diagonalize, cli):
+    for module in (finab, isoverify, groupalgebra, chargauss, diagonalize, cli):
         for _, fn in inspect.getmembers(module, inspect.isfunction):
             params = inspect.signature(fn).parameters
             entry_points.update((fn, name) for name in ("limit", "budget")

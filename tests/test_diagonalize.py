@@ -7,8 +7,7 @@ import pytest
 
 from cyclofourier import (BudgetExceeded, SplitVerificationError,
                           complete_idempotent_set, count_idempotents_group_algebra,
-                          decide_diag_cyclic, decide_diag_group, idempotents_mod,
-                          vandermonde_iso)
+                          decide_diag_cyclic, idempotents_mod, vandermonde_iso)
 
 
 def test_decide_cyclic_positive_cases():
@@ -32,16 +31,6 @@ def test_decide_cyclic_negative_cases():
     v = decide_diag_cyclic(2, 6)
     assert not v.decision and v.reason == "n-not-invertible"
     assert v.to_json() == {"decision": False, "reason": "n-not-invertible"}
-
-
-def test_decide_group():
-    v = decide_diag_group([2, 2], 5)
-    assert v.decision and v.witness == 4  # exponent 2; root of X + 1 mod 5
-    assert not decide_diag_group([4], 7).decision
-    assert decide_diag_group([], 9).decision  # trivial group
-    v = decide_diag_group([2, 2], 6)
-    assert not v.decision and v.reason == "n-not-invertible"
-    assert decide_diag_group([2, 3], 7).decision  # exponent lcm = 6
 
 
 def test_vandermonde_examples():

@@ -65,6 +65,18 @@ MUTANTS = [
            "",
            ("tests/test_exactring.py::"
             "test_a_negative_denominator_exponent_is_folded_into_the_numerators",)),
+    Mutant("the Gauss identity check ignores the unit flag of the base sum", "chargauss.py",
+           "* base and base_unit",
+           "* base",
+           ("tests/test_chargauss.py::test_unit_flag_of_the_base_sum_is_consulted",)),
+    Mutant("the Gauss identity check reads G(chi, eps_0) as the base sum", "chargauss.py",
+           "        base = sums[1]\n        base_unit = primitive",
+           "        base = sums[0]\n        base_unit = primitive",
+           ("tests/test_chargauss.py::test_gauss_identity_reports_small_levels",)),
+    Mutant("the Gauss table flags every twisted row a unit", "chargauss.py",
+           "base_unit if twisted",
+           "True if twisted",
+           ("tests/test_cli.py::test_gauss_table_matches_a_per_row_unit_oracle",)),
 ]
 
 
