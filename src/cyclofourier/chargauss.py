@@ -286,15 +286,21 @@ def gauss_table_rows(p: int, max_r: int, limit: int = DEFAULT_BUDGET) -> Iterato
     A coprime row whose sum is the twist chi(u^-1) G(chi, eps_1) takes the
     unit flag of its base sum, by the argument of the module docstring; every
     other row (p | u, or a twist that fails) takes ``is_unit`` of its own
-    value.  BudgetExceeded is raised before any sum when the levels have more
-    than ``limit`` terms.
+    value, decided once per distinct value of the level: ``is_unit`` depends
+    on the value alone, and at p = 3, r = 5 the 13,122 such rows hold 161
+    distinct values, 10,933 rows of them zero.  BudgetExceeded is raised
+    before any sum when the levels have more than ``limit`` terms.
     """
     _require_gauss_budget(p, max_r, limit)
     for r in range(1, max_r + 1):
         N = p ** r
+        flags: dict[tuple, bool] = {}  # (nums, exp) of a value in this level's ring -> is_unit
         for chi, sums in _level_sums(p, r):
             base = sums[1]
             base_unit = is_unit(base)
             for u, value in enumerate(sums):
                 twisted = u % p and value == chi.eval(pow(u, -1, N)) * base
-                yield N, chi, u, value, base_unit if twisted else is_unit(value)
+                key = value.nums, value.exp
+                if not twisted and key not in flags:
+                    flags[key] = is_unit(value)
+                yield N, chi, u, value, base_unit if twisted else flags[key]

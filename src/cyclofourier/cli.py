@@ -16,7 +16,6 @@ All randomness flows from one seed: equal configurations give equal bytes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -182,6 +181,8 @@ def cmd_gauss_table(args) -> int:
 
         _emit(render, args.output)
     else:
+        import csv  # only this command reads it, so other commands start without it
+
         def render(out: TextIO) -> None:
             writer = csv.writer(out)
             writer.writerow(_TABLE_FIELDS)

@@ -11,21 +11,35 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .exactring import ModRing, _convolve, cyclotomic_polynomial
 from .matrix import RingMatrix, determinant
-from .report import DEFAULT_BUDGET, BudgetExceeded
+from .report import DEFAULT_BUDGET, BudgetExceeded, _Frozen
 
 REASON_NOT_INVERTIBLE = "n-not-invertible"
 REASON_NO_ROOT = "no-cyclotomic-root"
 
 
-@dataclass(frozen=True, slots=True)
-class DiagVerdict:
-    decision: bool
-    witness: int | None = None
-    reason: str | None = None
+class DiagVerdict(_Frozen):
+    __slots__ = ("decision", "witness", "reason")
+
+    def __init__(self, decision: bool, witness: int | None = None, reason: str | None = None):
+        object.__setattr__(self, "decision", decision)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.decision, self.witness, self.reason) == \
+                   (other.decision, other.witness, other.reason)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.decision, self.witness, self.reason))
+
+    def __repr__(self):
+        return (f"DiagVerdict(decision={self.decision!r}, witness={self.witness!r}, "
+                f"reason={self.reason!r})")
 
     def to_json(self) -> dict:
         if self.decision:
@@ -74,11 +88,26 @@ class SplitVerificationError(RuntimeError):
     """An assertion of the verified splitting failed (an arithmetic bug)."""
 
 
-@dataclass(frozen=True, slots=True)
-class VandermondeSplit:
-    matrix: RingMatrix
-    points: tuple[int, ...]
-    det: int
+class VandermondeSplit(_Frozen):
+    __slots__ = ("matrix", "points", "det")
+
+    def __init__(self, matrix: RingMatrix, points: tuple[int, ...], det: int):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "det", det)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.matrix, self.points, self.det) == \
+                   (other.matrix, other.points, other.det)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.matrix, self.points, self.det))
+
+    def __repr__(self):
+        return (f"VandermondeSplit(matrix={self.matrix!r}, points={self.points!r}, "
+                f"det={self.det!r})")
 
 
 def vandermonde_iso(n: int, m: int, xi: int, limit: int = DEFAULT_BUDGET) -> VandermondeSplit:

@@ -11,34 +11,43 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 from typing import Iterator, Sequence
 
 from .exactring import _strip_p
-from .report import DEFAULT_BUDGET, BudgetExceeded
+from .report import DEFAULT_BUDGET, BudgetExceeded, _Frozen
 
 
-@dataclass(frozen=True, slots=True)
-class FinAbGroup:
+class FinAbGroup(_Frozen):
     """Direct sum of Z/p^(e_i) with e_1 >= e_2 >= ... >= 1."""
 
-    prime: int
-    exponents: tuple[int, ...]
-    # p^e_i per factor, derived from the exponents
-    factor_orders: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    # factor_orders, p^e_i per factor, is derived from the exponents and
+    # takes no part in eq, hash or repr
+    __slots__ = ("prime", "exponents", "factor_orders")
 
-    def __post_init__(self):
-        if self.prime < 2:
+    def __init__(self, prime: int, exponents: tuple[int, ...]):
+        if prime < 2:
             raise ValueError("prime must be >= 2")
-        exps = tuple(self.exponents)
+        exps = tuple(exponents)
         if any(e < 1 for e in exps):
             raise ValueError("exponents must be >= 1")
         if list(exps) != sorted(exps, reverse=True):
             raise ValueError("exponents must be non-increasing")
+        object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "exponents", exps)
-        object.__setattr__(self, "factor_orders", tuple(self.prime ** e for e in exps))
+        object.__setattr__(self, "factor_orders", tuple(prime ** e for e in exps))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.prime, self.exponents) == (other.prime, other.exponents)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.prime, self.exponents))
+
+    def __repr__(self):
+        return f"FinAbGroup(prime={self.prime!r}, exponents={self.exponents!r})"
 
     @property
     def order(self) -> int:
@@ -58,29 +67,41 @@ class FinAbGroup:
         return {"p": self.prime, "exponents": list(self.exponents)}
 
 
-@dataclass(frozen=True, slots=True)
-class _Coords:
+class _Coords(_Frozen):
     """One coordinate per cyclic factor, each in 0..p^(e_i) - 1."""
 
-    group: FinAbGroup
-    coords: tuple[int, ...]
+    __slots__ = ("group", "coords")
 
-    def __post_init__(self):
-        coords = tuple(self.coords)
-        orders = self.group.factor_orders
+    def __init__(self, group: FinAbGroup, coords: tuple[int, ...]):
+        coords = tuple(coords)
+        orders = group.factor_orders
         if len(coords) != len(orders):
             raise ValueError("coordinate count mismatch")
         if any(not 0 <= c < n for c, n in zip(coords, orders)):
             raise ValueError("coordinate out of range")
+        object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other):
+        # the exact class: an element never equals a functional
+        if other.__class__ is self.__class__:
+            return (self.group, self.coords) == (other.group, other.coords)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.group, self.coords))
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}(group={self.group!r}, coords={self.coords!r})"
 
     def is_zero(self) -> bool:
         return not any(self.coords)
 
 
-@dataclass(frozen=True, slots=True)
 class GroupElem(_Coords):
     """An element of the group; never equal to a DualElem with the same coordinates."""
+
+    __slots__ = ()
 
     def _same_group(self, other):
         if self.group != other.group:
@@ -103,9 +124,10 @@ class GroupElem(_Coords):
         return GroupElem(self.group, tuple((-a) % n for a, n in zip(self.coords, orders)))
 
 
-@dataclass(frozen=True, slots=True)
 class DualElem(_Coords):
     """A functional on the group, with the same coordinate shape."""
+
+    __slots__ = ()
 
 
 class PadicCircle:

@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
@@ -100,15 +99,34 @@ class CircleFunction:
         return f"CircleFunction({self.label()})"
 
 
-@dataclass(slots=True)
 class CriterionReport:
     """Outcome of the three-condition invertibility criterion."""
 
-    condition1: bool
-    witness1: CycloElem
-    condition2: bool
-    witness2: CycloElem
-    condition3: list[tuple[int, tuple[int, ...], CycloElem, bool]] = field(default_factory=list)
+    __slots__ = ("condition1", "witness1", "condition2", "witness2", "condition3")
+
+    def __init__(self, condition1: bool, witness1: CycloElem, condition2: bool,
+                 witness2: CycloElem,
+                 condition3: list[tuple[int, tuple[int, ...], CycloElem, bool]] | None = None):
+        self.condition1 = condition1
+        self.witness1 = witness1
+        self.condition2 = condition2
+        self.witness2 = witness2
+        self.condition3 = [] if condition3 is None else condition3
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return ((self.condition1, self.witness1, self.condition2, self.witness2,
+                     self.condition3)
+                    == (other.condition1, other.witness1, other.condition2, other.witness2,
+                        other.condition3))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"CriterionReport(condition1={self.condition1!r}, witness1={self.witness1!r}, "
+                f"condition2={self.condition2!r}, witness2={self.witness2!r}, "
+                f"condition3={self.condition3!r})")
 
     @property
     def overall(self) -> bool:

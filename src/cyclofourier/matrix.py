@@ -72,7 +72,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .exactring import (CycloElem, CycloRing, ModRing, _is_prime, _probable_prime,
                         cyclotomic_polynomial)
@@ -195,12 +195,16 @@ class _NotAField(Exception):
     """A nonzero pivot that is not a unit: the modulus is composite."""
 
 
-class _Split(NamedTuple):
+class _Split:
     """q, powers[i][k] = r_i^k mod q for the phi roots r_i of Phi_M, and V^(-1) mod q."""
 
-    modulus: int
-    powers: tuple[tuple[int, ...], ...]
-    inverse: tuple[tuple[int, ...], ...]
+    __slots__ = ("modulus", "powers", "inverse")
+
+    def __init__(self, modulus: int, powers: tuple[tuple[int, ...], ...],
+                 inverse: tuple[tuple[int, ...], ...]):
+        self.modulus = modulus
+        self.powers = powers
+        self.inverse = inverse
 
 
 def _det_modular(rows: list[list[tuple[int, ...]]], ring: CycloRing) -> list[int]:

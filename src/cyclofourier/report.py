@@ -25,7 +25,6 @@ stdout, and an unwritable ``--output`` still exits 2 with the same message.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Iterable
 
@@ -76,23 +75,68 @@ def _render(obj, indent: str) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
 
 
-@dataclass(frozen=True, slots=True)
-class CheckEntry:
-    id: str
-    subject: str
-    passed: bool
-    witness: object = None
+class _Frozen:
+    """Base of the immutable value types: ``__init__`` sets each slot once
+    through ``object.__setattr__``, and any later assignment or deletion
+    raises AttributeError, because their hashes key ``lru_cache`` and dicts."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CheckEntry(_Frozen):
+    __slots__ = ("id", "subject", "passed", "witness")
+
+    def __init__(self, id: str, subject: str, passed: bool, witness: object = None):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.id, self.subject, self.passed, self.witness) == \
+                   (other.id, other.subject, other.passed, other.witness)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.id, self.subject, self.passed, self.witness))
+
+    def __repr__(self):
+        return (f"CheckEntry(id={self.id!r}, subject={self.subject!r}, "
+                f"passed={self.passed!r}, witness={self.witness!r})")
 
     def to_json(self) -> dict:
         return {"id": self.id, "subject": self.subject, "pass": self.passed,
                 "witness": self.witness}
 
 
-@dataclass(slots=True)
 class VerifyReport:
-    command: str
-    params: dict
-    checks: list[CheckEntry] = field(default_factory=list)
+    """A mutable builder: checks are appended as they are computed."""
+
+    __slots__ = ("command", "params", "checks")
+
+    def __init__(self, command: str, params: dict, checks: list[CheckEntry] | None = None):
+        self.command = command
+        self.params = params
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.command, self.params, self.checks) == \
+                   (other.command, other.params, other.checks)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return (f"VerifyReport(command={self.command!r}, params={self.params!r}, "
+                f"checks={self.checks!r})")
 
     def add(self, id: str, subject: str, passed: bool, witness: object = None) -> None:
         self.checks.append(CheckEntry(id, subject, bool(passed), witness))

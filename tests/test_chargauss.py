@@ -226,3 +226,24 @@ def test_unit_flag_of_the_base_sum_is_consulted(monkeypatch):
         twists = _unit_twist_checks(report)
         assert twists and not any(ok for _, ok, _ in twists)
         assert report.failed == len(twists)
+
+
+@pytest.mark.parametrize("p, max_r", [(2, 3), (3, 3), (5, 2)])
+def test_gauss_table_decides_each_distinct_value_once(monkeypatch, p, max_r):
+    decided = []
+    real_unit = chargauss.is_unit
+
+    def counting_unit(x):
+        decided.append(x)
+        return real_unit(x)
+
+    monkeypatch.setattr(chargauss, "is_unit", counting_unit)
+    rows = list(chargauss.gauss_table_rows(p, max_r))
+    monkeypatch.undo()
+    # the oracle takes one norm per row
+    assert all(flag == is_unit(value) for _, _, _, value, flag in rows)
+    # one decision per character's base sum, and one per distinct value of the
+    # rows with p | u at each level (the twisted rows take their base's flag)
+    multiples = {(N, value.nums, value.exp) for N, _, u, value, _ in rows if u % p == 0}
+    characters = sum(euler_phi(p ** r) for r in range(1, max_r + 1))
+    assert len(decided) == characters + len(multiples)

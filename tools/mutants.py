@@ -77,6 +77,23 @@ MUTANTS = [
            "base_unit if twisted",
            "True if twisted",
            ("tests/test_cli.py::test_gauss_table_matches_a_per_row_unit_oracle",)),
+    Mutant("an element equals a functional with the same coordinates", "finab.py",
+           "        if other.__class__ is self.__class__:\n"
+           "            return (self.group, self.coords) == (other.group, other.coords)\n",
+           "        if isinstance(other, _Coords):\n"
+           "            return (self.group, self.coords) == (other.group, other.coords)\n",
+           ("tests/test_finab.py::"
+            "test_dual_elements_share_the_coordinate_check_but_never_equal_elements",
+            "tests/test_value_types.py::test_elements_never_equal_functionals")),
+    Mutant("groups of one prime compare equal", "finab.py",
+           "return (self.prime, self.exponents) == (other.prime, other.exponents)",
+           "return self.prime == other.prime",
+           ("tests/test_finab.py::test_group_validation_and_basics",)),
+    Mutant("frozen value types accept assignment", "report.py",
+           "    def __setattr__(self, name, value):\n"
+           "        raise AttributeError(f\"cannot assign to field {name!r}\")\n\n",
+           "",
+           ("tests/test_value_types.py::test_frozen_value_types_refuse_assignment",)),
 ]
 
 
