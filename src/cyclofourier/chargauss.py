@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
-from typing import Iterator, Sequence
 
 from .exactring import (CycloElem, CycloRing, euler_phi, get_ring, is_unit)
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport

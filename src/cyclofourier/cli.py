@@ -20,7 +20,8 @@ import json
 import math
 import os
 import sys
-from typing import Callable, TextIO
+from collections.abc import Callable
+from io import TextIOBase
 
 from .chargauss import _require_gauss_budget, check_gauss_identities, gauss_table_rows
 from .diagonalize import (SplitVerificationError, _require_cyclotomic_budget,
@@ -68,7 +69,7 @@ def _budget_from_env() -> int:
     return DEFAULT_BUDGET if raw is None else _int_at_least("CYCLO_BUDGET", raw)
 
 
-def _emit(render: Callable[[TextIO], object], output: str | None, end: str = "\n") -> None:
+def _emit(render: Callable[[TextIOBase], object], output: str | None, end: str = "\n") -> None:
     """render(stream) on the --output file, or on stdout, then end written after it.
 
     The file is opened only here, after the caller has computed all it
@@ -172,7 +173,7 @@ def cmd_gauss_table(args) -> int:
     rows = [(N, ";".join(map(str, chi.exponents)), u, ";".join(value.coeff_strings()), unit)
             for N, chi, u, value, unit in gauss_table_rows(p, max_r, limit=_budget_from_env())]
     if args.format == "json":
-        def render(out: TextIO) -> None:
+        def render(out: TextIOBase) -> None:
             opening, closing = "[\n  ", "[]"
             for row in rows:
                 out.write(opening + _render(dict(zip(_TABLE_FIELDS, row)), "  "))
@@ -183,7 +184,7 @@ def cmd_gauss_table(args) -> int:
     else:
         import csv  # only this command reads it, so other commands start without it
 
-        def render(out: TextIO) -> None:
+        def render(out: TextIOBase) -> None:
             writer = csv.writer(out)
             writer.writerow(_TABLE_FIELDS)
             writer.writerows(rows)

@@ -11,9 +11,9 @@ reproducible bit for bit.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, Sequence
 
 from .exactring import _strip_p
 from .report import DEFAULT_BUDGET, BudgetExceeded, _Frozen

@@ -31,8 +31,8 @@ group).  With T the exponent table and s = sum of the group's exponents
 2. Bilinearity: every entry lies in [0, M), T[0][.] = 0, T is symmetric,
    and T[v + g_k][l] = T[v][l] + T[g_k][l] (mod M) for every generator g_k,
    one big-int operation per (v, k) on packed rows (below).
-3. Orthogonality: sum_l zeta^T[u][l] = |V| [u = 0] for every u, summed in
-   exponent space and reduced once per u.
+3. Orthogonality: sum_l zeta^T[u][l] = |V| [u = 0] for every u, added into
+   one bucket per exponent and spread over the supports, as in step 1.
 4. One round trip each way on the single non-scalar term zeta [g_1], and
    on zeta delta_(g_1) (zeta [0] for the trivial group).
 
@@ -96,9 +96,9 @@ of any zeta^u (c <= p - 1 when M = p^e), in terms that the steps touch:
 step 1 has, per direction, n^2 kernel terms and n^2 bucket additions of
 integers of n log2(B) bits, n M c support terms and n reductions; step 2
 has n^2 entry and symmetry checks each and r n divmods of n-slot integers
-(r n^2 slots); step 3 n^2 terms and n reductions; step 4, per direction,
-n + n^2 c terms and 2n reductions.  Reducing mod Phi_M costs at most M c
-when M = p^e, so the whole proof touches at most
+(r n^2 slots); step 3 n^2 bucket additions and n M c support terms; step
+4, per direction, n + n^2 c terms and 2n reductions.  Reducing mod Phi_M
+costs at most M c when M = p^e, so the whole proof touches at most
 n (n (r + 2c + 7) + 9 M c + 2) terms (``_proof_terms``).
 
 When any step fails, the group is decided by ``_inversion_by_round_trips``
@@ -110,9 +110,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Sequence
 from functools import lru_cache
 from operator import add, mul, neg, sub
-from typing import Sequence
 
 from .exactring import CycloElem, CycloRing, _strip_p, get_ring, is_unit
 from .finab import (FinAbGroup, GroupElem, PadicCircle, _generator_indices, _top_exponent,
@@ -405,7 +405,7 @@ def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, exps) -> bool:
     every single-term input.
     """
     M = ring.conductor
-    supports = [[(k, c) for k, c in enumerate(ring.zeta(u).nums) if c] for u in range(M)]
+    supports = ring.zeta_supports()
     base = 2 * max(abs(c) for support in supports for _, c in support) + 1
     weights = [base ** v for v in range(group.order)]
     packed = [ring.from_int(w) for w in weights]
@@ -478,8 +478,14 @@ def _generator_shifts(group: FinAbGroup) -> list[list[int]]:
 
 
 def _rows_are_orthogonal(ring: CycloRing, exps) -> bool:
-    """Step 3: sum_l zeta^T[u][l] = |V| [u = 0], counted by exponent, reduced once per row."""
-    return all(ring.zeta_sum(row) == (ring.from_int(len(row)) if u == 0 else ring.zero)
+    """Step 3: sum_l zeta^T[u][l] = |V| [u = 0], counted by exponent, spread once per row.
+
+    The entries lie in [0, M), as step 2 checked before this step runs.
+    """
+    supports = ring.zeta_supports()
+    ones = [1] * len(exps)
+    return all(_packed_sum(ring, ones, supports, row, 0)
+               == (ring.from_int(len(row)) if u == 0 else ring.zero)
                for u, row in enumerate(exps))
 
 

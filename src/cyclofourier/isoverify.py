@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from typing import Mapping
+from collections.abc import Mapping
 
 from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
                         standard_ring, units_mod)
@@ -180,8 +179,11 @@ def matrix_is_invertible(group: FinAbGroup, fn: CircleFunction) -> bool:
 # -- criterion versus determinant, on seeded random tables ---------------
 
 
-def random_table_function(p: int, r: int, rng: random.Random) -> CircleFunction:
-    """A table over ``standard_ring(p, r)``, drawn from the pool {0, 1, 2, zeta, zeta - 1, p}."""
+def random_table_function(p: int, r: int, rng) -> CircleFunction:
+    """A table over ``standard_ring(p, r)``, drawn from the pool {0, 1, 2, zeta, zeta - 1, p}.
+
+    ``rng`` is a ``random.Random``; only its ``randrange`` is called.
+    """
     ring = standard_ring(p, r)
     pool = [ring.zero, ring.one, ring.from_int(2), ring.zeta(1),
             ring.zeta(1) - ring.one, ring.from_int(p)]
@@ -217,6 +219,8 @@ def criterion_vs_determinant(p: int, r: int, samples: int, seed: int,
     if n ** 3 > limit or n ** 3 * euler_phi(conductor) ** 2 > limit:
         raise BudgetExceeded(f"{n}x{n} determinants over Z[zeta_{conductor}] "
                              f"exceed the bound {limit}")
+    import random  # only this command draws: a cold CLI start does not load it
+
     rng = random.Random(seed)
     decision_group = FinAbGroup(p, (r,))
     pool = [g for g in enumerate_groups(p, p ** (r + 1))

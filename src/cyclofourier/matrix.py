@@ -70,9 +70,9 @@ a cyclotomic ring they are the ring elements.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, Sequence
 
 from .exactring import (CycloElem, CycloRing, ModRing, _is_prime, _probable_prime,
                         cyclotomic_polynomial)
@@ -210,7 +210,7 @@ class _Split:
 def _det_modular(rows: list[list[tuple[int, ...]]], ring: CycloRing) -> list[int]:
     """det over Z[zeta_M] of integer coefficient vectors, modulo one split q > 2B."""
     M = ring.conductor
-    height = max(max(map(abs, ring.zeta(j).nums)) for j in range(M))
+    height = max(abs(c) for support in ring.zeta_supports() for _, c in support)
     bound = height
     for row in rows:
         bound *= sum(sum(map(abs, a)) for a in row)

@@ -25,8 +25,8 @@ stdout, and an unwritable ``--output`` still exits 2 with the same message.
 from __future__ import annotations
 
 import json
+from collections.abc import Callable, Iterable
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Iterable
 
 
 # The one default bound on brute-force work: every budgeted entry point

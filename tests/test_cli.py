@@ -555,18 +555,19 @@ def test_module_runs_as_a_script():
 
 
 def test_cli_import_loads_no_dataclass_machinery():
-    # Before and after in one fresh interpreter, so modules that site preloads
-    # (a .pth file may import half the stdlib) do not count.
+    # Before and after in one fresh interpreter started with -S, so neither
+    # site nor a .pth file (which may import half the stdlib) preloads a module.
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys; before = set(sys.modules); import cyclofourier.cli; "
              "print(*sorted(set(sys.modules) - before))")
-    done = subprocess.run([sys.executable, "-c", probe],
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, env=env, timeout=60)
     loaded = set(done.stdout.split())
     assert done.returncode == 0 and "cyclofourier.cli" in loaded
-    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv"}
+    assert not loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize", "csv",
+                         "typing", "random"}
 
 
 def test_failing_report_maps_to_exit_one(capsys):

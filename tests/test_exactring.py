@@ -1,7 +1,9 @@
 """Ring-layer tests: Z[1/p] (conductor 1), cyclotomic quotients, Z/m, primality.
 
 Oracles: fractions.Fraction for the scalar ring, sympy's cyclotomic_poly
-for the cyclotomic polynomials, a Fraction Gaussian-elimination
+for the cyclotomic polynomials and the supports of the zeta^u, a count
+vector reduced once for ``zeta_sum``, the product of every Galois
+conjugate for the coset-chain norm, a Fraction Gaussian-elimination
 determinant of the multiplication matrix as an independent unit test,
 and sympy.isprime for the primality test.
 """
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from cyclofourier import (CycloElem, CycloRing, IntPolynomial, ModRing,
                           NotAUnitError, cyclotomic_polynomial, euler_phi, galois_conjugate,
                           get_ring, inverse, is_unit, lift_conductor, norm)
-from cyclofourier.exactring import _is_prime, _probable_prime
+from cyclofourier.exactring import _adjugate_norm, _coset_chain, _is_prime, _probable_prime
 
 CONDUCTORS = [1, 3, 4, 5, 6, 8, 9, 12, 16, 18, 27]
 
@@ -268,16 +270,40 @@ def test_equal_small_coefficients_share_one_string():
     assert a[0] is a[2] is b[1] and a[1] is a[4] is b[5]
 
 
+def _counted_zeta_sum(ring, exponents):
+    """Sum of zeta^e as one count vector of length M, reduced mod Phi_M once (oracle)."""
+    M = ring.conductor
+    counts = [0] * M
+    for e in exponents:
+        counts[e % M] += 1
+    return CycloElem(ring, ring.reduce_vector(counts), 0)
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(st.sampled_from([1, 4, 9, 12, 18, 105]), st.data())
 def test_zeta_sum_equals_the_ring_sum_of_zeta_powers(M, data):
-    # negative exponents, exponents >= M, repeats, and the empty list
+    # negative exponents, exponents >= M, repeats, and the empty list; both
+    # zeta_sum and zeta read the ring's supports, so the count vector is the oracle
     exponents = data.draw(st.lists(st.integers(-3 * M, 3 * M), max_size=3 * M))
     ring = get_ring(M, 3)
     expected = ring.zero
     for e in exponents:
         expected = expected + ring.zeta(e)
-    assert ring.zeta_sum(exponents) == expected
+    assert ring.zeta_sum(exponents) == expected == _counted_zeta_sum(ring, exponents)
+
+
+def test_zeta_supports_are_the_monomials_reduced_by_sympy():
+    x = sympy.symbols("x")
+    for M in CONDUCTORS + [15, 20, 24, 105]:
+        ring = get_ring(M, 2)
+        phi = sympy.Poly(sympy.cyclotomic_poly(M, x), x)
+        supports = ring.zeta_supports()
+        assert len(supports) == M
+        for u in range(M):
+            coeffs = sympy.Poly(x ** u, x).rem(phi).all_coeffs()[::-1]
+            assert supports[u] == tuple((k, int(c)) for k, c in enumerate(coeffs) if c), (M, u)
+            assert ring.zeta(u).nums == tuple(map(int, coeffs)) + (0,) * (
+                ring.degree - len(coeffs))
 
 
 def test_zeta_power_examples():
@@ -360,6 +386,36 @@ def test_norm_examples_and_multiplicativity():
         for _ in range(20):
             x, y = rand_elem(rng, ring, 4), rand_elem(rng, ring, 4)
             assert norm(x * y) == norm(x) * norm(y)
+
+
+def _full_conjugate_product(x):
+    """The product of all phi(M) - 1 nontrivial Galois conjugates, one by one (oracle)."""
+    M = x.ring.conductor
+    adj = x.ring.one
+    for t in range(2, M):
+        if math.gcd(t, M) == 1:
+            adj = adj * galois_conjugate(x, t)
+    return adj
+
+
+# (Z/M)^x is cyclic for M in 3, 5, 7, 9, 18, 27, 54, 162, and not for the rest
+@pytest.mark.parametrize("M", [3, 5, 7, 9, 18, 27, 54, 162, 8, 12, 15, 20, 24, 40, 105])
+def test_adjugate_norm_equals_the_full_conjugate_product(M):
+    rng = random.Random(112 + M)
+    cyclic = M in (3, 5, 7, 9, 18, 27, 54, 162)
+    assert (len(_coset_chain(M)) == 1) == cyclic
+    for p in (2, 3):
+        ring = get_ring(M, p)
+        # integral and with p-power denominators, dense and with one or two terms
+        samples = [rand_elem(rng, ring, 3), rand_elem(rng, ring, 3),
+                   ring.zeta(1) - ring.one,
+                   ring.zeta(rng.randrange(M)) * lift_conductor(zp(5, 2, p), M)]
+        for x in samples:
+            adj, n = _adjugate_norm(x)
+            full = _full_conjugate_product(x)
+            assert adj == full
+            assert adj * x == lift_conductor(n, M)
+            assert (full * x).as_scalar() == n and n.ring is get_ring(1, p)
 
 
 def test_is_unit_examples():

@@ -65,6 +65,26 @@ MUTANTS = [
            "",
            ("tests/test_exactring.py::"
             "test_a_negative_denominator_exponent_is_folded_into_the_numerators",)),
+    Mutant("a zeta^u support is built for zeta^(u+1)", "exactring.py",
+           "                vec[u] = 1\n",
+           "                vec[(u + 1) % M] = 1\n",
+           ("tests/test_exactring.py::test_zeta_sum_equals_the_ring_sum_of_zeta_powers",
+            "tests/test_exactring.py::test_zeta_supports_are_the_monomials_reduced_by_sympy")),
+    Mutant("a zeta^u support drops the sign of its terms", "exactring.py",
+           "tuple((k, c) for k, c in enumerate(self.reduce_vector(vec)) if c)",
+           "tuple((k, abs(c)) for k, c in enumerate(self.reduce_vector(vec)) if c)",
+           ("tests/test_exactring.py::test_zeta_sum_equals_the_ring_sum_of_zeta_powers",
+            "tests/test_exactring.py::test_zeta_supports_are_the_monomials_reduced_by_sympy")),
+    Mutant("the norm's doubling drops its odd-bit product", "exactring.py",
+           "            if bit == \"1\":\n                P = P * _substitute(y, pow(t, a, M), ring)\n",
+           "            if bit == \"1\":\n",
+           ("tests/test_exactring.py::test_adjugate_norm_equals_the_full_conjugate_product[162]",
+            "tests/test_exactring.py::test_adjugate_norm_equals_the_full_conjugate_product[7]")),
+    Mutant("the norm stops after the first step of its subgroup chain", "exactring.py",
+           "    for t, k in _coset_chain(M):\n",
+           "    for t, k in _coset_chain(M)[:1]:\n",
+           ("tests/test_exactring.py::test_adjugate_norm_equals_the_full_conjugate_product[8]",
+            "tests/test_exactring.py::test_adjugate_norm_equals_the_full_conjugate_product[40]")),
     Mutant("the Gauss identity check ignores the unit flag of the base sum", "chargauss.py",
            "* base and base_unit",
            "* base",
