@@ -129,7 +129,7 @@ def cmd_verify(args) -> int:
                                           extra_groups=extra_groups, limit=budget)
     elif args.check == "naturality":
         budget = _budget_from_env()
-        max_order = _max_order(args, min(_DEFAULT_NATURAL_ORDER.get(p, 1), 16))
+        max_order = _max_order(args, 16 if p in (2, 3) else 1)
         report = naturality_sweep(p, max_order, limit=budget)
     else:
         budget = _budget_from_env()

@@ -21,25 +21,12 @@ REASON_NO_ROOT = "no-cyclotomic-root"
 
 
 class DiagVerdict(_Frozen):
-    __slots__ = ("decision", "witness", "reason")
+    __slots__ = _fields = ("decision", "witness", "reason")
 
     def __init__(self, decision: bool, witness: int | None = None, reason: str | None = None):
         object.__setattr__(self, "decision", decision)
         object.__setattr__(self, "witness", witness)
         object.__setattr__(self, "reason", reason)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.decision, self.witness, self.reason) == \
-                   (other.decision, other.witness, other.reason)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.decision, self.witness, self.reason))
-
-    def __repr__(self):
-        return (f"DiagVerdict(decision={self.decision!r}, witness={self.witness!r}, "
-                f"reason={self.reason!r})")
 
     def to_json(self) -> dict:
         if self.decision:
@@ -89,25 +76,12 @@ class SplitVerificationError(RuntimeError):
 
 
 class VandermondeSplit(_Frozen):
-    __slots__ = ("matrix", "points", "det")
+    __slots__ = _fields = ("matrix", "points", "det")
 
     def __init__(self, matrix: RingMatrix, points: tuple[int, ...], det: int):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "det", det)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.matrix, self.points, self.det) == \
-                   (other.matrix, other.points, other.det)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.matrix, self.points, self.det))
-
-    def __repr__(self):
-        return (f"VandermondeSplit(matrix={self.matrix!r}, points={self.points!r}, "
-                f"det={self.det!r})")
 
 
 def vandermonde_iso(n: int, m: int, xi: int, limit: int = DEFAULT_BUDGET) -> VandermondeSplit:

@@ -39,8 +39,13 @@ which is checked to be a scalar, and adj x = y.  Each step's t is a unit
 of largest k, so a cyclic unit group takes one step: about 10 products in
 place of 53 at M = 162.
 
-Values are immutable after construction and hashable; every operation
-returns a new value, so they are safe to share across threads.
+Values are hashable and immutable by convention only: no operation assigns
+a field after construction, but nothing refuses it (``elem.nums = ...``
+succeeds).  Every operation returns a new value, so values that nobody
+assigns to are safe to share across threads.  ``IntPolynomial`` and
+``ModRing`` take eq and hash from their ``_fields`` (``report._Value``).
+``CycloRing`` and ``CycloElem`` keep their own: each runs thousands of
+times per sweep, and ``CycloElem`` compares its rings by ``is`` first.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from functools import lru_cache
+
+from .report import _Value
 
 
 class NotAUnitError(ValueError):
@@ -146,10 +153,10 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
-class IntPolynomial:
+class IntPolynomial(_Value):
     """Integer polynomial, coefficients lowest degree first, trailing zeros stripped."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int]):
         lst = list(coeffs)
@@ -163,14 +170,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def __eq__(self, other):
-        if isinstance(other, IntPolynomial):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __mul__(self, other):
         return IntPolynomial(_convolve(self.coeffs, other.coeffs))
@@ -598,10 +597,10 @@ def inverse(x: CycloElem) -> CycloElem:
 # -- finite rings Z/m ---------------------------------------------------
 
 
-class ModRing:
+class ModRing(_Value):
     """The finite ring Z/m; its elements are the ints 0..m-1."""
 
-    __slots__ = ("modulus",)
+    __slots__ = _fields = ("modulus",)
     zero = 0
     one = 1
 
@@ -609,14 +608,6 @@ class ModRing:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         self.modulus = modulus
-
-    def __eq__(self, other):
-        if isinstance(other, ModRing):
-            return self.modulus == other.modulus
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("mod", self.modulus))
 
     def __repr__(self):
         return f"ModRing({self.modulus})"

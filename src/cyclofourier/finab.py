@@ -16,7 +16,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exactring import _strip_p
-from .report import DEFAULT_BUDGET, BudgetExceeded, _Frozen
+from .report import DEFAULT_BUDGET, BudgetExceeded, _Frozen, _Value
 
 
 class FinAbGroup(_Frozen):
@@ -25,6 +25,7 @@ class FinAbGroup(_Frozen):
     # factor_orders, p^e_i per factor, is derived from the exponents and
     # takes no part in eq, hash or repr
     __slots__ = ("prime", "exponents", "factor_orders")
+    _fields = ("prime", "exponents")
 
     def __init__(self, prime: int, exponents: tuple[int, ...]):
         if prime < 2:
@@ -37,17 +38,6 @@ class FinAbGroup(_Frozen):
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "exponents", exps)
         object.__setattr__(self, "factor_orders", tuple(prime ** e for e in exps))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.prime, self.exponents) == (other.prime, other.exponents)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.prime, self.exponents))
-
-    def __repr__(self):
-        return f"FinAbGroup(prime={self.prime!r}, exponents={self.exponents!r})"
 
     @property
     def order(self) -> int:
@@ -70,7 +60,7 @@ class FinAbGroup(_Frozen):
 class _Coords(_Frozen):
     """One coordinate per cyclic factor, each in 0..p^(e_i) - 1."""
 
-    __slots__ = ("group", "coords")
+    __slots__ = _fields = ("group", "coords")
 
     def __init__(self, group: FinAbGroup, coords: tuple[int, ...]):
         coords = tuple(coords)
@@ -81,18 +71,6 @@ class _Coords(_Frozen):
             raise ValueError("coordinate out of range")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "coords", coords)
-
-    def __eq__(self, other):
-        # the exact class: an element never equals a functional
-        if other.__class__ is self.__class__:
-            return (self.group, self.coords) == (other.group, other.coords)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self.coords))
-
-    def __repr__(self):
-        return f"{self.__class__.__name__}(group={self.group!r}, coords={self.coords!r})"
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -281,7 +259,7 @@ def pairing(v: GroupElem, l: DualElem) -> PadicCircle:
 # -- homomorphisms -------------------------------------------------------
 
 
-class GroupHom:
+class GroupHom(_Value):
     """Homomorphism given by an integer matrix on the cyclic generators.
 
     Row i, column j sends the j-th source generator to a[i][j] times the
@@ -290,6 +268,7 @@ class GroupHom:
     """
 
     __slots__ = ("source", "target", "matrix", "_moduli")
+    _fields = ("source", "target", "matrix")
 
     def __init__(self, source: FinAbGroup, target: FinAbGroup,
                  matrix: Sequence[Sequence[int]]):
@@ -344,15 +323,6 @@ class GroupHom:
         if l.group != self.source:
             raise ValueError("functional not over the source shape")
         return DualElem(self.target, self._apply_coords(l.coords))
-
-    def __eq__(self, other):
-        if isinstance(other, GroupHom):
-            return (self.source, self.target, self.matrix) == \
-                   (other.source, other.target, other.matrix)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
 
     def __repr__(self):
         return f"GroupHom({self.source.notation()} -> {self.target.notation()}, {self.matrix})"

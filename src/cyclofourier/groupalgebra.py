@@ -118,7 +118,7 @@ from .exactring import CycloElem, CycloRing, _strip_p, get_ring, is_unit
 from .finab import (FinAbGroup, GroupElem, PadicCircle, _generator_indices, _top_exponent,
                     element_index, elements, enumerate_groups, pairing_numerators)
 from .matrix import RingMatrix
-from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
+from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport, _Value
 
 
 def _check_conductor(group: FinAbGroup, ring: CycloRing) -> None:
@@ -140,7 +140,7 @@ def _zeta_exponent_table(group: FinAbGroup, ring: CycloRing) -> tuple[tuple[int,
     return tuple(tuple(map(scale.__mul__, row)) for row in pairing_numerators(group))
 
 
-class _GroupIndexed:
+class _GroupIndexed(_Value):
     """One ring value per group element, in the lexicographic element order.
 
     The body of AlgElem and FunElem: a subclass names the values' field (the
@@ -148,7 +148,7 @@ class _GroupIndexed:
     Values of different subclasses never compare equal.
     """
 
-    __slots__ = ("group", "ring", "_items")
+    __slots__ = _fields = ("group", "ring", "_items")
     _errors: tuple[str, str, str]  # wrong count, wrong ring, different algebras
 
     def __init__(self, group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem]):
@@ -175,14 +175,6 @@ class _GroupIndexed:
 
     def __neg__(self):
         return type(self)(self.group, self.ring, list(map(neg, self._items)))
-
-    def __eq__(self, other):
-        if type(other) is type(self):
-            return (self.group, self.ring, self._items) == (other.group, other.ring, other._items)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.group, self._items))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.group.notation()}, {[str(c) for c in self._items]})"

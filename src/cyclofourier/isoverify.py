@@ -34,7 +34,7 @@ from .finab import (FinAbGroup, GroupHom, PadicCircle, _generator_indices,
                     hom_entry_choices, pairing, pairing_numerators)
 from .groupalgebra import transform_matrix
 from .matrix import determinant
-from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
+from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport, _Value
 
 
 class CircleFunction:
@@ -98,10 +98,11 @@ class CircleFunction:
         return f"CircleFunction({self.label()})"
 
 
-class CriterionReport:
+class CriterionReport(_Value):
     """Outcome of the three-condition invertibility criterion."""
 
-    __slots__ = ("condition1", "witness1", "condition2", "witness2", "condition3")
+    __slots__ = _fields = ("condition1", "witness1", "condition2", "witness2", "condition3")
+    __hash__ = None
 
     def __init__(self, condition1: bool, witness1: CycloElem, condition2: bool,
                  witness2: CycloElem,
@@ -111,21 +112,6 @@ class CriterionReport:
         self.condition2 = condition2
         self.witness2 = witness2
         self.condition3 = [] if condition3 is None else condition3
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return ((self.condition1, self.witness1, self.condition2, self.witness2,
-                     self.condition3)
-                    == (other.condition1, other.witness1, other.condition2, other.witness2,
-                        other.condition3))
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"CriterionReport(condition1={self.condition1!r}, witness1={self.witness1!r}, "
-                f"condition2={self.condition2!r}, witness2={self.witness2!r}, "
-                f"condition3={self.condition3!r})")
 
     @property
     def overall(self) -> bool:

@@ -76,12 +76,13 @@ from operator import mul
 
 from .exactring import (CycloElem, CycloRing, ModRing, _is_prime, _probable_prime,
                         cyclotomic_polynomial)
+from .report import _Value
 
 
-class RingMatrix:
+class RingMatrix(_Value):
     """Rectangular matrix with entries from one ring, row-major."""
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    __slots__ = _fields = ("ring", "rows", "cols", "entries")
 
     def __init__(self, ring, rows: int, cols: int, entries: Sequence):
         if len(entries) != rows * cols:
@@ -107,15 +108,6 @@ class RingMatrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def __eq__(self, other):
-        if isinstance(other, RingMatrix):
-            return (self.ring == other.ring and self.rows == other.rows
-                    and self.cols == other.cols and self.entries == other.entries)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
 
     def __repr__(self):
         return f"RingMatrix({self.rows}x{self.cols} over {self.ring!r})"

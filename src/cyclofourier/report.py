@@ -75,7 +75,34 @@ def _render(obj, indent: str) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + indent)
 
 
-class _Frozen:
+class _Value:
+    """Base of the value types: a value is its ``_fields``, a tuple of slot names.
+
+    ``__eq__`` holds for the exact same class with equal keys, ``__hash__``
+    hashes the key and ``__repr__`` is ``Name(field=value, ...)``.  There is
+    no default ``_fields``: a class that forgets it fails at its first
+    comparison instead of making all its values equal.
+    """
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class _Frozen(_Value):
     """Base of the immutable value types: ``__init__`` sets each slot once
     through ``object.__setattr__``, and any later assignment or deletion
     raises AttributeError, because their hashes key ``lru_cache`` and dicts."""
@@ -90,7 +117,7 @@ class _Frozen:
 
 
 class CheckEntry(_Frozen):
-    __slots__ = ("id", "subject", "passed", "witness")
+    __slots__ = _fields = ("id", "subject", "passed", "witness")
 
     def __init__(self, id: str, subject: str, passed: bool, witness: object = None):
         object.__setattr__(self, "id", id)
@@ -98,45 +125,21 @@ class CheckEntry(_Frozen):
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "witness", witness)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.id, self.subject, self.passed, self.witness) == \
-                   (other.id, other.subject, other.passed, other.witness)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.id, self.subject, self.passed, self.witness))
-
-    def __repr__(self):
-        return (f"CheckEntry(id={self.id!r}, subject={self.subject!r}, "
-                f"passed={self.passed!r}, witness={self.witness!r})")
-
     def to_json(self) -> dict:
         return {"id": self.id, "subject": self.subject, "pass": self.passed,
                 "witness": self.witness}
 
 
-class VerifyReport:
+class VerifyReport(_Value):
     """A mutable builder: checks are appended as they are computed."""
 
-    __slots__ = ("command", "params", "checks")
+    __slots__ = _fields = ("command", "params", "checks")
+    __hash__ = None
 
     def __init__(self, command: str, params: dict, checks: list[CheckEntry] | None = None):
         self.command = command
         self.params = params
         self.checks = [] if checks is None else checks
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.command, self.params, self.checks) == \
-                   (other.command, other.params, other.checks)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return (f"VerifyReport(command={self.command!r}, params={self.params!r}, "
-                f"checks={self.checks!r})")
 
     def add(self, id: str, subject: str, passed: bool, witness: object = None) -> None:
         self.checks.append(CheckEntry(id, subject, bool(passed), witness))

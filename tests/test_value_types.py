@@ -2,9 +2,10 @@
 
 import pytest
 
-from cyclofourier import (CheckEntry, CriterionReport, DiagVerdict, DualElem, FinAbGroup,
-                          GroupElem, ModRing, RingMatrix, VandermondeSplit, VerifyReport,
-                          get_ring)
+from cyclofourier import (AlgElem, CheckEntry, CriterionReport, DiagVerdict, DualElem,
+                          FinAbGroup, FunElem, GroupElem, GroupHom, IntPolynomial, ModRing,
+                          RingMatrix, VandermondeSplit, VerifyReport, get_ring, identity_hom)
+from cyclofourier.report import _Frozen, _Value
 
 
 def _group():
@@ -26,6 +27,23 @@ def _frozen_pairs():
     yield split(), split(), "det"
 
 
+def _unfrozen_pairs():
+    """Two equal values of each hashable class that is immutable by convention only."""
+    ring = get_ring(9, 3)
+    c3 = FinAbGroup(3, (1,))
+
+    def items():
+        return [ring.one, ring.zero, ring.zeta(1)]
+
+    yield IntPolynomial([1, -2, 0, 1]), IntPolynomial((1, -2, 0, 1, 0))
+    yield ModRing(5), ModRing(5)
+    yield RingMatrix(ring, 1, 2, [ring.one, ring.zeta(2)]), \
+        RingMatrix.from_rows(get_ring(9, 3), [[ring.one, ring.zeta(2)]])
+    yield AlgElem(c3, ring, items()), AlgElem(FinAbGroup(3, [1]), ring, items())
+    yield FunElem(c3, ring, items()), FunElem(FinAbGroup(3, [1]), ring, items())
+    yield GroupHom(_group(), c3, [[1, 0]]), GroupHom(_group(), c3, [[4, 3]])
+
+
 def _mutable_pairs():
     ring = get_ring(3, 3)
 
@@ -43,10 +61,11 @@ def _mutable_pairs():
 
 FROZEN = list(_frozen_pairs())
 FROZEN_IDS = [type(a).__name__ for a, _, _ in FROZEN]
+HASHABLE = [(a, b) for a, b, _ in FROZEN] + list(_unfrozen_pairs())
 
 
-@pytest.mark.parametrize("a, b, field", FROZEN, ids=FROZEN_IDS)
-def test_equal_values_hash_equal_and_share_a_dict_key(a, b, field):
+@pytest.mark.parametrize("a, b", HASHABLE, ids=[type(a).__name__ for a, _ in HASHABLE])
+def test_equal_values_hash_equal_and_share_a_dict_key(a, b):
     assert a is not b and a == b and not a != b
     assert hash(a) == hash(b) and {a: 1}[b] == 1
     assert repr(a) == repr(b)
@@ -103,6 +122,11 @@ def test_equality_ignores_the_derived_factor_orders_and_tracks_every_field():
     assert GroupElem(g, (1, 2)) != GroupElem(FinAbGroup(3, (3, 1)), (1, 2))
     assert CheckEntry("a", "s", True) != CheckEntry("a", "s", False)
     assert DiagVerdict(False, None, "x") != DiagVerdict(False, None, "y")
+    assert RingMatrix(ModRing(5), 1, 1, [1]) != RingMatrix(ModRing(7), 1, 1, [1])
+    assert GroupHom(g, g, [[1, 0], [0, 1]]) != GroupHom(g, g, [[1, 0], [0, 2]])
+    ring = get_ring(3, 3)
+    c3 = FinAbGroup(3, (1,))
+    assert AlgElem(c3, ring, [ring.one] * 3) != FunElem(c3, ring, [ring.one] * 3)
 
 
 def test_keyword_construction_and_defaults():
@@ -139,3 +163,42 @@ def test_reprs_keep_the_field_equals_value_form():
     assert repr(CriterionReport(True, ring.one, False, ring.zero)) == (
         "CriterionReport(condition1=True, witness1=CycloElem(M=3, [1, 0]), condition2=False, "
         "witness2=CycloElem(M=3, [0, 0]), condition3=[])")
+    # classes with a repr of their own keep it
+    assert repr(IntPolynomial([1, -2, 0, 1])) == "IntPolynomial(X^3 - 2X + 1)"
+    assert repr(IntPolynomial([])) == "IntPolynomial(0)"
+    assert repr(ModRing(5)) == "ModRing(5)"
+    assert repr(RingMatrix(ModRing(5), 1, 2, [1, 2])) == "RingMatrix(1x2 over ModRing(5))"
+    ring = get_ring(9, 3)
+    assert repr(RingMatrix(ring, 1, 1, [ring.one])) == \
+        "RingMatrix(1x1 over CycloRing(conductor=9, prime=3))"
+    items = [ring.one, ring.zero, ring.zeta(1)]
+    strings = "['[1, 0, 0, 0, 0, 0]', '[0, 0, 0, 0, 0, 0]', '[0, 1, 0, 0, 0, 0]']"
+    assert repr(AlgElem(FinAbGroup(3, (1,)), ring, items)) == f"AlgElem(3, {strings})"
+    assert repr(FunElem(FinAbGroup(3, (1,)), ring, items)) == f"FunElem(3, {strings})"
+    assert repr(GroupHom(_group(), FinAbGroup(3, (1,)), [[1, 0]])) == \
+        "GroupHom(9+3 -> 3, ((1, 0),))"
+    assert repr(identity_hom(_group())) == "GroupHom(9+3 -> 9+3, ((1, 0), (0, 1)))"
+
+
+def _value_leaves():
+    """The classes whose values exist: the _Value subclasses with no subclass of their own."""
+    leaves, todo = [], [_Value]
+    while todo:
+        cls = todo.pop()
+        subs = cls.__subclasses__()
+        todo.extend(subs)
+        if not subs:
+            leaves.append(cls)
+    return leaves
+
+
+def test_every_value_class_declares_its_fields_as_slots():
+    assert "_fields" not in vars(_Value) and "_fields" not in vars(_Frozen)
+    leaves = _value_leaves()
+    assert {cls.__name__ for cls in leaves} == {
+        "FinAbGroup", "GroupElem", "DualElem", "CheckEntry", "DiagVerdict", "VandermondeSplit",
+        "VerifyReport", "CriterionReport", "IntPolynomial", "ModRing", "RingMatrix", "AlgElem",
+        "FunElem", "GroupHom"}
+    for cls in leaves:
+        slots = {name for base in cls.__mro__ for name in vars(base).get("__slots__", ())}
+        assert cls._fields and set(cls._fields) <= slots, cls

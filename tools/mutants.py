@@ -97,18 +97,23 @@ MUTANTS = [
            "base_unit if twisted",
            "True if twisted",
            ("tests/test_cli.py::test_gauss_table_matches_a_per_row_unit_oracle",)),
-    Mutant("an element equals a functional with the same coordinates", "finab.py",
+    Mutant("an element equals a functional with the same coordinates", "report.py",
            "        if other.__class__ is self.__class__:\n"
-           "            return (self.group, self.coords) == (other.group, other.coords)\n",
-           "        if isinstance(other, _Coords):\n"
-           "            return (self.group, self.coords) == (other.group, other.coords)\n",
+           "            return self._key() == other._key()\n",
+           "        if isinstance(other, _Value):\n"
+           "            return self._key() == other._key()\n",
            ("tests/test_finab.py::"
             "test_dual_elements_share_the_coordinate_check_but_never_equal_elements",
             "tests/test_value_types.py::test_elements_never_equal_functionals")),
     Mutant("groups of one prime compare equal", "finab.py",
-           "return (self.prime, self.exponents) == (other.prime, other.exponents)",
-           "return self.prime == other.prime",
+           '    _fields = ("prime", "exponents")\n',
+           '    _fields = ("prime",)\n',
            ("tests/test_finab.py::test_group_validation_and_basics",)),
+    Mutant("_key drops the last field", "report.py",
+           "for name in self._fields])",
+           "for name in self._fields[:-1]])",
+           ("tests/test_value_types.py::"
+            "test_equality_ignores_the_derived_factor_orders_and_tracks_every_field",)),
     Mutant("frozen value types accept assignment", "report.py",
            "    def __setattr__(self, name, value):\n"
            "        raise AttributeError(f\"cannot assign to field {name!r}\")\n\n",
