@@ -21,7 +21,7 @@ import math
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 
-from .exactring import (CycloElem, CycloRing, euler_phi, get_ring, is_unit)
+from .exactring import CycloElem, CycloRing, euler_phi, get_ring, is_unit, units_mod
 from .report import DEFAULT_BUDGET, BudgetExceeded, VerifyReport
 
 
@@ -101,10 +101,6 @@ def unit_group_generators(p: int, r: int) -> UnitGroupStructure:
         else:
             raise ArithmeticError("no primitive root found")
     return UnitGroupStructure(p, r, gens)
-
-
-def units_mod(N: int) -> list[int]:
-    return [t for t in range(1, N + 1) if math.gcd(t, N) == 1] if N > 1 else [1]
 
 
 class Character:

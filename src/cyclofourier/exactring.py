@@ -131,6 +131,11 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def units_mod(N: int) -> list[int]:
+    """The residues 1 <= t < N coprime to N, in order; [1] for N = 1."""
+    return [t for t in range(1, N + 1) if math.gcd(t, N) == 1] if N > 1 else [1]
+
+
 def _strip_p(n: int, p: int) -> tuple[int, int]:
     """Write n = n0 * p^k with p not dividing n0; returns (n0, k), and (0, 0) for n = 0."""
     if n == 0:
@@ -522,7 +527,7 @@ def _coset_chain(M: int) -> tuple[tuple[int, int], ...]:
     t in H_i.  Each t is one of largest k, so a cyclic group takes one step.
     """
     covered = {1 % M}
-    units = [t for t in range(2, M) if math.gcd(t, M) == 1]
+    units = units_mod(M)[1:]
     chain = []
     while len(covered) <= len(units):
         best_k, best_t = 0, 0

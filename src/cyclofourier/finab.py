@@ -53,9 +53,6 @@ class FinAbGroup(_Frozen):
             return "1"
         return "+".join(str(self.prime ** e) for e in self.exponents)
 
-    def to_json(self) -> dict:
-        return {"p": self.prime, "exponents": list(self.exponents)}
-
 
 class _Coords(_Frozen):
     """One coordinate per cyclic factor, each in 0..p^(e_i) - 1."""
@@ -326,31 +323,6 @@ class GroupHom(_Value):
 
     def __repr__(self):
         return f"GroupHom({self.source.notation()} -> {self.target.notation()}, {self.matrix})"
-
-
-def identity_hom(group: FinAbGroup) -> GroupHom:
-    n = len(group.exponents)
-    return GroupHom(group, group,
-                    [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-
-def zero_hom(source: FinAbGroup, target: FinAbGroup) -> GroupHom:
-    return GroupHom(source, target,
-                    [[0] * len(source.exponents) for _ in target.exponents])
-
-
-def compose(g: GroupHom, f: GroupHom) -> GroupHom:
-    """The composite g o f."""
-    if f.target != g.source:
-        raise ValueError("homomorphisms are not composable")
-    rows = []
-    for i in range(len(g.target.exponents)):
-        row = []
-        for j in range(len(f.source.exponents)):
-            row.append(sum(g.matrix[i][k] * f.matrix[k][j]
-                           for k in range(len(f.target.exponents))))
-        rows.append(row)
-    return GroupHom(f.source, g.target, rows)
 
 
 @lru_cache(maxsize=None)

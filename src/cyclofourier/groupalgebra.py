@@ -211,13 +211,6 @@ def basis_element(group: FinAbGroup, ring: CycloRing, v: GroupElem) -> AlgElem:
     return AlgElem(group, ring, coeffs)
 
 
-def algebra_one(group: FinAbGroup, ring: CycloRing) -> AlgElem:
-    """The unit [0] of k[V]."""
-    coeffs = [ring.zero] * group.order
-    coeffs[0] = ring.one
-    return AlgElem(group, ring, coeffs)
-
-
 def convolve(x: AlgElem, y: AlgElem) -> AlgElem:
     """(x * y)(w) = sum over u + v = w of x(u) y(v)."""
     x._same_algebra(y)
@@ -238,28 +231,6 @@ def convolve(x: AlgElem, y: AlgElem) -> AlgElem:
 
 
 # -- the evaluation map, its matrix, and Fourier inversion --------------
-
-
-def _pairing_matrix(group: FinAbGroup, ring: CycloRing,
-                    values: Sequence[CycloElem]) -> RingMatrix:
-    """|V| x |V| matrix: row l, column v, entry values[t] where <v,l> = t / p^(e_1).
-
-    Each row indexes ``values`` with a row of ``pairing_numerators``, which
-    is symmetric: row l lists the numerators of <v, l> over v.
-    """
-    entries = []
-    for row in pairing_numerators(group):
-        entries.extend(map(values.__getitem__, row))
-    n = group.order
-    return RingMatrix(ring, n, n, entries)
-
-
-def character_table(group: FinAbGroup, ring: CycloRing) -> RingMatrix:
-    """|V| x |V| matrix: row l, column v, entry zeta^<v,l> (the character table)."""
-    _check_conductor(group, ring)
-    N = group.exponent_value
-    scale = ring.conductor // N  # t < N, so t * scale < M: no reduction
-    return _pairing_matrix(group, ring, [ring.zeta(t * scale) for t in range(N)])
 
 
 def _transform(group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem],
@@ -304,13 +275,18 @@ def transform_matrix(group: FinAbGroup, fn) -> RingMatrix:
 
     ``fn`` exposes its ``ring`` and value_at(point), which raises ValueError
     at a point of another prime or beyond fn's level.  fn is evaluated once
-    per residue t mod p^(e_1), at the point t / p^(e_1), and the matrix is
-    built from those values by ``_pairing_matrix``, as the character table is.
+    per residue t mod p^(e_1), at the point t / p^(e_1).  Row l of the matrix
+    indexes those values with row l of ``pairing_numerators``, which is
+    symmetric: it lists the numerators of <v, l> over v.
     """
     p = group.prime
     e1 = group.exponents[0] if group.exponents else 0
     values = [fn.value_at(PadicCircle(p, t, e1)) for t in range(p ** e1)]
-    return _pairing_matrix(group, fn.ring, values)
+    entries = []
+    for row in pairing_numerators(group):
+        entries.extend(map(values.__getitem__, row))
+    n = group.order
+    return RingMatrix(fn.ring, n, n, entries)
 
 
 # -- unit tests in group algebras ---------------------------------------
@@ -494,8 +470,10 @@ def _fixed_round_trips_hold(group: FinAbGroup, ring: CycloRing) -> bool:
 def _inversion_by_round_trips(group: FinAbGroup, ring: CycloRing):
     """Both composites on every basis vector: ((ok, witness) left, (ok, witness) right)."""
     left = (True, None)
-    for i, v in enumerate(elements(group)):
-        x = basis_element(group, ring, v)
+    for i in range(group.order):
+        coeffs = [ring.zero] * group.order
+        coeffs[i] = ring.one
+        x = AlgElem(group, ring, coeffs)
         if fourier_inverse(evaluate_at_characters(x)) != x:
             left = (False, {"basis_index": i})
             break

@@ -25,9 +25,9 @@ import itertools
 import math
 from collections.abc import Mapping
 
-from .chargauss import (_standard_conductor, enumerate_characters, is_primitive,
-                        standard_ring, units_mod)
-from .exactring import CycloElem, CycloRing, euler_phi, get_ring, is_unit, lift_conductor
+from .chargauss import _standard_conductor, enumerate_characters, is_primitive, standard_ring
+from .exactring import (CycloElem, CycloRing, euler_phi, get_ring, is_unit, lift_conductor,
+                        units_mod)
 from .finab import (FinAbGroup, GroupHom, PadicCircle, _generator_indices,
                     _require_sweep_hom_budget, _top_exponent, circle_points, dual_elements,
                     dual_hom, elements, enumerate_groups, enumerate_homs,

@@ -75,7 +75,7 @@ from functools import lru_cache
 from operator import mul
 
 from .exactring import (CycloElem, CycloRing, ModRing, _is_prime, _probable_prime,
-                        cyclotomic_polynomial)
+                        cyclotomic_polynomial, units_mod)
 from .report import _Value
 
 
@@ -326,7 +326,7 @@ def _inverse_mod(rows: Sequence[Sequence[int]], q: int) -> tuple[tuple[int, ...]
 def _split(conductor: int, floor: int) -> _Split:
     """The first candidate q > floor with phi checked roots of Phi_M and V^(-1) mod q."""
     phi_m = cyclotomic_polynomial(conductor)
-    units = [k for k in range(1, conductor) if math.gcd(k, conductor) == 1]
+    units = units_mod(conductor)
     for q in _candidates(conductor, floor):
         h = _root_of_order(q, conductor)
         if h is None:

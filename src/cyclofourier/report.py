@@ -155,13 +155,6 @@ class VerifyReport(_Value):
     def failed(self) -> int:
         return sum(1 for c in self.checks if not c.passed)
 
-    @property
-    def all_passed(self) -> bool:
-        return self.failed == 0
-
-    def failures(self) -> list[CheckEntry]:
-        return [c for c in self.checks if not c.passed]
-
     def to_json_dict(self) -> dict:
         return {
             "command": self.command,

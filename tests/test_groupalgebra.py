@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, PadicCircle,
-                          algebra_one, basis_element, character_table,
-                          circle_points, convolution_matrix, convolve, determinant,
+                          basis_element, circle_points, convolution_matrix, convolve, determinant,
                           dual_elements, element_index, elements, enumerate_groups,
                           evaluate_at_characters, fourier_inverse, fourier_transform,
                           fourier_inversion_report, get_ring, is_unit,
@@ -41,7 +40,7 @@ def rand_alg(rng, group, ring, span=3):
 def test_convolution_unit_and_basis_products():
     g = G(2, 2)
     ring = get_ring(4, 2)
-    one = algebra_one(g, ring)
+    one = basis_element(g, ring, elements(g)[0])
     rng = random.Random(401)
     for _ in range(10):
         x = rand_alg(rng, g, ring)
@@ -69,28 +68,6 @@ def test_convolution_commutative_random():
         for _ in range(10):
             x, y = rand_alg(rng, g, ring), rand_alg(rng, g, ring)
             assert convolve(x, y) == convolve(y, x)
-
-
-def test_character_table_examples():
-    ring1 = get_ring(1, 2)
-    trivial = G(2)
-    assert character_table(trivial, ring1).entries == (ring1.one,)
-    ring2 = get_ring(2, 2)
-    table = character_table(G(2, 1), ring2)
-    assert table.to_json() == [[["1"], ["1"]], [["1"], ["-1"]]]
-    ring4 = get_ring(4, 2)
-    t4 = character_table(G(2, 2), ring4)
-    z = ring4.zeta(1)
-    assert t4.at(1, 1) == z
-    assert t4.at(2, 1) == ring4.from_int(-1)
-    assert t4.at(3, 1) == -z
-
-
-def test_character_table_needs_enough_roots():
-    with pytest.raises(ValueError):
-        character_table(G(2, 2), get_ring(2, 2))
-    with pytest.raises(ValueError):
-        character_table(G(3, 1), get_ring(4, 2))
 
 
 def test_fourier_transform_examples():
@@ -160,6 +137,12 @@ def test_fourier_requires_enough_roots():
     g = G(2, 2)
     with pytest.raises(ValueError):
         fourier_transform(FunElem(g, get_ring(2, 2), [get_ring(2, 2).zero] * 4))
+    # Z/3 over Z[1/2][zeta_6]: the conductor has the cube roots, the ring inverts 2, not 3
+    g3, ring = G(3, 1), get_ring(6, 2)
+    with pytest.raises(ValueError, match="prime"):
+        evaluate_at_characters(AlgElem(g3, ring, [ring.one] * 3))
+    with pytest.raises(ValueError, match="prime"):
+        fourier_transform(FunElem(g3, ring, [ring.one] * 3))
 
 
 def test_evaluation_is_an_algebra_morphism():
@@ -173,18 +156,11 @@ def test_evaluation_is_an_algebra_morphism():
             assert lhs == rhs
 
 
-def test_transform_matrix_of_root_table_matches_character_table():
-    # the character table is the transform matrix of the canonical root table
-    for g in (G(2, 1), G(2, 2), G(3, 1)):
-        ring = standard_fourier_ring(g)
-        e1 = g.exponents[0]
-        M = ring.conductor
-        values = {}
-        for point in circle_points(g.prime, e1):
-            scaled = point.numerator * (M // g.prime ** point.level) % M
-            values[point] = ring.zeta(scaled)
-        fn = CircleFunction.table(e1, values, ring)
-        assert transform_matrix(g, fn) == character_table(g, ring)
+def _root_table(group, ring):
+    """The circle function t / p^s -> zeta_M^(M t / p^s) up to the group's exponent."""
+    level = group.exponents[0] if group.exponents else 0
+    return CircleFunction.table(level, {point: _oracle_root(ring, point)
+                                        for point in circle_points(group.prime, level)}, ring)
 
 
 def _entrywise_transform(group, fn):
@@ -198,6 +174,10 @@ def test_transform_matrix_matches_the_entrywise_pairing():
         for g in enumerate_groups(p, max_order):
             assert transform_matrix(g, fn).entries == tuple(
                 _entrywise_transform(g, fn)), g
+            # the root table zeta^<v,l>: the matrix of the evaluation map
+            roots = _root_table(g, standard_fourier_ring(g))
+            assert transform_matrix(g, roots).entries == tuple(
+                _entrywise_transform(g, roots)), g
     for p, r, max_order in ((2, 3, 32), (3, 2, 27), (5, 1, 25)):
         for seed in range(3):
             fn = random_table_function(p, r, random.Random(seed))
@@ -211,7 +191,7 @@ def test_transform_matrix_matches_the_entrywise_pairing():
 def test_is_unit_group_algebra_examples_and_oracle():
     g = G(2, 2)
     ring = get_ring(4, 2)
-    assert is_unit_group_algebra(algebra_one(g, ring))
+    assert is_unit_group_algebra(basis_element(g, ring, elements(g)[0]))
     v = GroupElem(g, (1,))
     diff = basis_element(g, ring, GroupElem(g, (0,))) - basis_element(g, ring, v)
     assert not is_unit_group_algebra(diff)  # the trivial character gives 0
@@ -227,7 +207,7 @@ def test_is_unit_group_algebra_examples_and_oracle():
 def test_convolution_matrix_shapes():
     g = G(2, 1, 1)
     ring = get_ring(2, 2)
-    one = algebra_one(g, ring)
+    one = basis_element(g, ring, elements(g)[0])
     eye = convolution_matrix(one)
     assert all(eye.at(i, j) == (ring.one if i == j else ring.zero)
                for i in range(4) for j in range(4))
@@ -305,10 +285,6 @@ def test_transforms_match_pairing_oracle():
               (G(2, 1, 1), get_ring(8, 2)), (G(3, 1), get_ring(6, 3)),
               (G(3, 1, 1), get_ring(9, 3))]
     for g, ring in cases:
-        table = character_table(g, ring)
-        for j, l in enumerate(dual_elements(g)):
-            for i, v in enumerate(elements(g)):
-                assert table.at(j, i) == _oracle_root(ring, pairing(v, l))
         for coeffs in _differential_inputs(rng, g, ring):
             x = AlgElem(g, ring, coeffs)
             assert evaluate_at_characters(x).values == _oracle_evaluate(x), g

@@ -112,7 +112,7 @@ def test_a_gauss_report_keeps_one_string_per_distinct_coefficient():
         kept, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(report.checks) == 4374 and report.all_passed
+    assert len(report.checks) == 4374 and report.failed == 0
     assert kept < 8 * 2 ** 20
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from cyclofourier import (AlgElem, CheckEntry, CriterionReport, DiagVerdict, DualElem,
                           FinAbGroup, FunElem, GroupElem, GroupHom, IntPolynomial, ModRing,
-                          RingMatrix, VandermondeSplit, VerifyReport, get_ring, identity_hom)
+                          RingMatrix, VandermondeSplit, VerifyReport, get_ring)
 from cyclofourier.report import _Frozen, _Value
 
 
@@ -177,7 +177,8 @@ def test_reprs_keep_the_field_equals_value_form():
     assert repr(FunElem(FinAbGroup(3, (1,)), ring, items)) == f"FunElem(3, {strings})"
     assert repr(GroupHom(_group(), FinAbGroup(3, (1,)), [[1, 0]])) == \
         "GroupHom(9+3 -> 3, ((1, 0),))"
-    assert repr(identity_hom(_group())) == "GroupHom(9+3 -> 9+3, ((1, 0), (0, 1)))"
+    assert repr(GroupHom(_group(), _group(), [[1, 0], [0, 1]])) == \
+        "GroupHom(9+3 -> 9+3, ((1, 0), (0, 1)))"
 
 
 def _value_leaves():

@@ -59,6 +59,10 @@ MUTANTS = [
            "and _fixed_round_trips_hold(group, ring))",
            "and True)",
            ("tests/test_groupalgebra.py::test_each_proof_step_rejects_its_own_defect",)),
+    Mutant("the Fourier kernel accepts a ring of another prime", "groupalgebra.py",
+           "    if group.prime != ring.prime:\n",
+           "    if False:\n",
+           ("tests/test_groupalgebra.py::test_fourier_requires_enough_roots",)),
     Mutant("CycloElem keeps a negative denominator exponent", "exactring.py",
            "        elif exp < 0:\n            nums = [c * p ** -exp for c in nums]\n"
            "            exp = 0\n",
