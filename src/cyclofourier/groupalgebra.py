@@ -6,9 +6,10 @@ way.  The evaluation map sends a basis element [v] to the function
 l -> zeta^<v,l>; its inverse is synthesis from the Fourier transform
 f^(v) = |V|^(-1) sum_l f(l) zeta^(-<v,l>).
 
-Both directions run through one kernel, ``_transform``.  The zeta_M
-exponents of the pairing are tabulated once per (group, ring) and cached;
-the table is symmetric, so one row serves evaluation (sign +1) and
+Both directions run through one kernel, ``_transform``.  It reads the
+pairing's numerator table ``pairing_numerators``, built once per group:
+<v, l> = T[v][l] / N with N = p^(e_1), so zeta^<v,l> = zeta_M^(T[v][l] M / N).
+The table is symmetric, so one row serves evaluation (sign +1) and
 synthesis (sign -1, with |V|^(-1) folded into the denominator exponent).
 Each nonzero input contributes only its nonzero power-basis terms (zero
 inputs are skipped before their slots are scanned), accumulated in
@@ -17,21 +18,21 @@ O(|V|^2 * nnz) for nnz nonzero input terms, plus |V| reductions.
 
 Fourier inversion is proven per group, not run as |V| round trips each
 way (each of which would end in a dense |V| x |V| synthesis, O(|V|^3) per
-group).  With T the exponent table and s = sum of the group's exponents
-(|V| = p^s), ``fourier_inversion_report`` checks:
+group).  With T the numerator table, zeta_N = zeta_M^(M / N) and s = sum
+of the group's exponents (|V| = p^s), ``fourier_inversion_report`` checks:
 
 1. Kernel columns, from one packed input per direction: with B = 2H + 1,
-   where H = max_u ||zeta^u||_inf in the power basis (H = 1 when M is a
-   prime power), evaluate_at_characters(sum_v B^v [v]) at l equals
-   sum_v B^v zeta^T[v][l], and fourier_transform(sum_j B^j delta_j) at l
-   equals p^(-s) sum_j B^j zeta^(-T[j][l]).  The expected values are summed
-   from the sparse power-basis supports of the zeta^u, not by the kernel:
-   the weights are added into one bucket per exponent u, and each bucket is
-   spread over the support of zeta^u.
-2. Bilinearity: every entry lies in [0, M), T[0][.] = 0, T is symmetric,
-   and T[v + g_k][l] = T[v][l] + T[g_k][l] (mod M) for every generator g_k,
+   where H = max_u ||zeta_M^u||_inf in the power basis over every u < M
+   (H = 1 when M is a prime power), evaluate_at_characters(sum_v B^v [v])
+   at l equals sum_v B^v zeta_N^T[v][l], and fourier_transform(sum_j B^j
+   delta_j) at l equals p^(-s) sum_j B^j zeta_N^(-T[j][l]).  The expected
+   values are summed from the sparse power-basis supports of the zeta_N^t,
+   not by the kernel: the weights are added into one bucket per exponent t,
+   and each bucket is spread over the support of zeta_N^t.
+2. Bilinearity: every entry lies in [0, N), T[0][.] = 0, T is symmetric,
+   and T[v + g_k][l] = T[v][l] + T[g_k][l] (mod N) for every generator g_k,
    one big-int operation per (v, k) on packed rows (below).
-3. Orthogonality: sum_l zeta^T[u][l] = |V| [u = 0] for every u, added into
+3. Orthogonality: sum_l zeta_N^T[u][l] = |V| [u = 0] for every u, added into
    one bucket per exponent and spread over the supports, as in step 1.
 4. One round trip each way on the single non-scalar term zeta [g_1], and
    on zeta delta_(g_1) (zeta [0] for the trivial group).
@@ -48,20 +49,20 @@ are at most 2H = B - 1 in absolute value.  Were some d_v nonzero, let v0 be
 the largest such v and k a slot with d_v0[k] != 0; then
 |B^v0 d_v0[k]| >= B^v0 > (B - 1) sum_(v<v0) B^v >= |sum_(v<v0) B^v d_v[k]|,
 a contradiction.  So K(e_v) = E(e_v) for every v, and step 1 determines
-both maps: E[l][v] = zeta^T[v][l], F[v][l] = p^(-s) zeta^(-T[l][v]).
-By steps 2 and 3, (F E)[w][v] = p^(-s) sum_l zeta^(T[v][l] - T[w][l]) =
-p^(-s) sum_l zeta^T[v-w][l] = [v = w], and E F = I the same way through
+both maps: E[l][v] = zeta_N^T[v][l], F[v][l] = p^(-s) zeta_N^(-T[l][v]).
+By steps 2 and 3, (F E)[w][v] = p^(-s) sum_l zeta_N^(T[v][l] - T[w][l]) =
+p^(-s) sum_l zeta_N^T[v-w][l] = [v = w], and E F = I the same way through
 the rows of the symmetric table.
 
 Step 2 packs row v into one integer P[v] = sum_l T[v][l] 2^(b l), with b
-bits per slot and 2^b >= 2M, and checks (v, k) by one
-divmod(P[v] + P[g_k] - P[w], M) for w = v + g_k: it passes iff the
+bits per slot and 2^b >= 2N, and checks (v, k) by one
+divmod(P[v] + P[g_k] - P[w], N) for w = v + g_k: it passes iff the
 remainder is 0 and every slot of the quotient is 0 or 1.  This is exact.
-The digits d_l = T[v][l] + T[g_k][l] - T[w][l] lie in [-(M - 1), 2M - 2],
-so d_l = 0 (mod M) iff d_l = M q_l with q_l in {0, 1}, and then the
+The digits d_l = T[v][l] + T[g_k][l] - T[w][l] lie in [-(N - 1), 2N - 2],
+so d_l = 0 (mod N) iff d_l = N q_l with q_l in {0, 1}, and then the
 quotient is sum_l q_l 2^(b l) with remainder 0.  Conversely, if the
 remainder is 0 and the quotient is sum_l q_l 2^(b l) with q_l in {0, 1},
-then sum_l (d_l - M q_l) 2^(b l) = 0 with every |d_l - M q_l| < 2M <= 2^b;
+then sum_l (d_l - N q_l) 2^(b l) = 0 with every |d_l - N q_l| < 2N <= 2^b;
 and a digit sum sum_l c_l 2^(b l) = 0 with every |c_l| < 2^b forces every
 c_l = 0, since the lowest nonzero c_l0 would have to be a multiple of 2^b.
 The index w comes from mixed-radix arithmetic on the index v: adding g_k
@@ -94,12 +95,12 @@ The seeded dense-input oracle of the test suite
 Cost per group, with n = |V|, r its rank and c the most power-basis terms
 of any zeta^u (c <= p - 1 when M = p^e), in terms that the steps touch:
 step 1 has, per direction, n^2 kernel terms and n^2 bucket additions of
-integers of n log2(B) bits, n M c support terms and n reductions; step 2
+integers of n log2(B) bits, n N c support terms and n reductions; step 2
 has n^2 entry and symmetry checks each and r n divmods of n-slot integers
-(r n^2 slots); step 3 n^2 bucket additions and n M c support terms; step
+(r n^2 slots); step 3 n^2 bucket additions and n N c support terms; step
 4, per direction, n + n^2 c terms and 2n reductions.  Reducing mod Phi_M
-costs at most M c when M = p^e, so the whole proof touches at most
-n (n (r + 2c + 7) + 9 M c + 2) terms (``_proof_terms``).
+costs at most M c when M = p^e, and N <= M, so the whole proof touches at
+most n (n (r + 2c + 7) + 9 M c + 2) terms (``_proof_terms``).
 
 When any step fails, the group is decided by ``_inversion_by_round_trips``
 (every basis vector, both ways), so verdicts and the first failing
@@ -111,7 +112,6 @@ from __future__ import annotations
 import sys
 from array import array
 from collections.abc import Sequence
-from functools import lru_cache
 from operator import add, mul, neg, sub
 
 from .exactring import CycloElem, CycloRing, _strip_p, get_ring, is_unit
@@ -128,16 +128,6 @@ def _check_conductor(group: FinAbGroup, ring: CycloRing) -> None:
     if _strip_p(ring.conductor, group.prime)[1] < e1:
         raise ValueError(
             f"conductor {ring.conductor} lacks the p^{e1}-th roots of unity")
-
-
-@lru_cache(maxsize=None)
-def _zeta_exponent_table(group: FinAbGroup, ring: CycloRing) -> tuple[tuple[int, ...], ...]:
-    """exps[v][l]: the zeta_M exponent of <v_i, l_j>; built once per (group, ring)."""
-    _check_conductor(group, ring)
-    M = ring.conductor
-    scale = M // group.exponent_value
-    # t < p^(e_1), so t * scale < M: no reduction
-    return tuple(tuple(map(scale.__mul__, row)) for row in pairing_numerators(group))
 
 
 class _GroupIndexed(_Value):
@@ -236,9 +226,10 @@ def convolve(x: AlgElem, y: AlgElem) -> AlgElem:
 def _transform(group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem],
                sign: int, extra_exp: int) -> list[CycloElem]:
     """out[j] = p^(-extra_exp) sum_i items[i] zeta^(sign <i, j>), reduced once per output."""
+    _check_conductor(group, ring)
     M = ring.conductor
     p = ring.prime
-    exps = _zeta_exponent_table(group, ring)
+    step = sign * (M // group.exponent_value)
     nonzero = [(i, c) for i, c in enumerate(items) if any(c.nums)]
     shift = max((c.exp for _, c in nonzero), default=0)
     terms = []  # (input index, power-basis slot, scaled coefficient)
@@ -246,10 +237,10 @@ def _transform(group: FinAbGroup, ring: CycloRing, items: Sequence[CycloElem],
         s = p ** (shift - c.exp)
         terms.extend((i, k, n * s) for k, n in enumerate(c.nums) if n)
     out = []
-    for row in exps:
+    for row in pairing_numerators(group):
         acc = [0] * M
         for i, k, n in terms:
-            acc[(sign * row[i] + k) % M] += n
+            acc[(step * row[i] + k) % M] += n
         out.append(CycloElem(ring, ring.reduce_vector(acc), shift + extra_exp))
     return out
 
@@ -355,45 +346,49 @@ def _proof_terms(group: FinAbGroup) -> int:
 
 def _inversion_proven(group: FinAbGroup, ring: CycloRing) -> bool:
     """Steps 1-4 of the module docstring; False leaves the verdict to the round trips."""
-    exps = _zeta_exponent_table(group, ring)
-    return (_kernel_columns_match(group, ring, exps)
-            and _table_is_bilinear(group, exps, ring.conductor)
-            and _rows_are_orthogonal(ring, exps)
+    table = pairing_numerators(group)
+    N = group.exponent_value
+    return (_kernel_columns_match(group, ring, table)
+            and _table_is_bilinear(group, table, N)
+            and _rows_are_orthogonal(ring, table, N)
             and _fixed_round_trips_hold(group, ring))
 
 
-def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, exps) -> bool:
-    """Step 1: each transform once, on one packed input, against the table.
+def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, table) -> bool:
+    """Step 1: each transform once, on one packed input, against the numerator table.
 
     Evaluation runs on sum_v B^v [v] and synthesis on sum_j B^j delta_j, with
-    B = 2H + 1 for H the largest |coefficient| of any zeta^u.  Output l must
-    be sum_v B^v zeta^T[v][l], or p^(-s) sum_j B^j zeta^(-T[j][l]), built from
-    the sparse power-basis supports of the zeta^u.  By the base-B argument of
-    the module docstring this holds iff both transforms match the table on
-    every single-term input.
+    B = 2H + 1 for H the largest |coefficient| of any zeta_M^u (a faulty
+    kernel may land on any of them).  Output l must be sum_v B^v
+    zeta_N^T[v][l], or p^(-s) sum_j B^j zeta_N^(-T[j][l]), built from the
+    sparse power-basis supports of the zeta_N^t = zeta_M^(t M / N).  By the
+    base-B argument of the module docstring this holds iff both transforms
+    match the table on every single-term input.
     """
     M = ring.conductor
+    N = group.exponent_value
     supports = ring.zeta_supports()
     base = 2 * max(abs(c) for support in supports for _, c in support) + 1
     weights = [base ** v for v in range(group.order)]
     packed = [ring.from_int(w) for w in weights]
-    columns = list(zip(*exps))
+    roots = supports[::M // N]
+    columns = list(zip(*table))
     if evaluate_at_characters(AlgElem(group, ring, packed)).values != tuple(
-            _packed_sum(ring, weights, supports, col, 0) for col in columns):
+            _packed_sum(ring, weights, roots, col, 0) for col in columns):
         return False
-    conjugates = [supports[-u % M] for u in range(M)]
+    conjugates = [roots[-t % N] for t in range(N)]
     s = sum(group.exponents)
     return fourier_transform(FunElem(group, ring, packed)) == tuple(
         _packed_sum(ring, weights, conjugates, col, s) for col in columns)
 
 
 def _packed_sum(ring: CycloRing, weights, supports, column, exp: int) -> CycloElem:
-    """p^(-exp) sum_v weights[v] zeta^column[v], bucketed by exponent (no reduction).
+    """p^(-exp) sum_v weights[v] root^column[v], bucketed by exponent (no reduction).
 
-    The weights are added into one bucket per exponent u, and each bucket is
-    spread over the power-basis support of zeta^u.
+    The weights are added into one bucket per exponent t, and each bucket is
+    spread over supports[t], the power-basis support of root^t.
     """
-    buckets = [0] * ring.conductor
+    buckets = [0] * len(supports)
     for w, u in zip(weights, column):
         buckets[u] += w
     acc = [0] * ring.degree
@@ -408,22 +403,22 @@ def _packed_sum(ring: CycloRing, weights, supports, column, exp: int) -> CycloEl
 _ARRAY_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _table_is_bilinear(group: FinAbGroup, exps, M: int) -> bool:
-    """Step 2: entries in [0, M), zero row, symmetry, and additivity along each generator.
+def _table_is_bilinear(group: FinAbGroup, table, N: int) -> bool:
+    """Step 2: entries in [0, N), zero row, symmetry, and additivity along each generator.
 
     Additivity is one divmod per (v, k) on rows packed into b-bit slots,
-    2^b >= 2M; the module docstring proves it exact.
+    2^b >= 2N; the module docstring proves it exact.
     """
-    if (any(exps[0]) or any(min(row) < 0 or max(row) >= M for row in exps)
-            or any(col != row for col, row in zip(zip(*exps), exps))):
+    if (any(table[0]) or any(min(row) < 0 or max(row) >= N for row in table)
+            or any(col != row for col, row in zip(zip(*table), table))):
         return False
-    code = _ARRAY_CODES[min(size for size in _ARRAY_CODES if 256 ** size >= 2 * M)]
-    packed = [int.from_bytes(array(code, row).tobytes(), sys.byteorder) for row in exps]
-    ones = int.from_bytes(array(code, [1] * len(exps)).tobytes(), sys.byteorder)
+    code = _ARRAY_CODES[min(size for size in _ARRAY_CODES if 256 ** size >= 2 * N)]
+    packed = [int.from_bytes(array(code, row).tobytes(), sys.byteorder) for row in table]
+    ones = int.from_bytes(array(code, [1] * len(table)).tobytes(), sys.byteorder)
     for shift in _generator_shifts(group):
         row_g = packed[shift[0]]
         for row_v, w in zip(packed, shift):
-            quotient, remainder = divmod(row_v + row_g - packed[w], M)
+            quotient, remainder = divmod(row_v + row_g - packed[w], N)
             if remainder or quotient | ones != ones:
                 return False
     return True
@@ -445,16 +440,16 @@ def _generator_shifts(group: FinAbGroup) -> list[list[int]]:
     return shifts
 
 
-def _rows_are_orthogonal(ring: CycloRing, exps) -> bool:
-    """Step 3: sum_l zeta^T[u][l] = |V| [u = 0], counted by exponent, spread once per row.
+def _rows_are_orthogonal(ring: CycloRing, table, N: int) -> bool:
+    """Step 3: sum_l zeta_N^T[u][l] = |V| [u = 0], counted by exponent, spread once per row.
 
-    The entries lie in [0, M), as step 2 checked before this step runs.
+    The entries lie in [0, N), as step 2 checked before this step runs.
     """
-    supports = ring.zeta_supports()
-    ones = [1] * len(exps)
-    return all(_packed_sum(ring, ones, supports, row, 0)
+    roots = ring.zeta_supports()[::ring.conductor // N]
+    ones = [1] * len(table)
+    return all(_packed_sum(ring, ones, roots, row, 0)
                == (ring.from_int(len(row)) if u == 0 else ring.zero)
-               for u, row in enumerate(exps))
+               for u, row in enumerate(table))
 
 
 def _fixed_round_trips_hold(group: FinAbGroup, ring: CycloRing) -> bool:

@@ -6,7 +6,6 @@ with ``pytest tests/test_acceptance.py -v -s`` to see them.
 """
 
 import itertools
-import math
 import random
 import time
 
@@ -14,7 +13,7 @@ from cyclofourier import (AlgElem, CycloElem, IntPolynomial, check_gauss_identit
                           complete_idempotent_set, count_idempotents_group_algebra,
                           convolution_matrix, criterion_vs_determinant,
                           cyclotomic_polynomial, decide_diag_cyclic, determinant,
-                          enumerate_groups, fourier_inversion_report, get_ring, idempotents_mod,
+                          fourier_inversion_report, get_ring, idempotents_mod,
                           is_unit, is_unit_group_algebra, natural_iso_sweep, norm,
                           standard_fourier_ring, vandermonde_iso, FinAbGroup)
 

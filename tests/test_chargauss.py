@@ -1,7 +1,5 @@
 """Unit-group structure, character evaluation, primitivity, Gauss sums."""
 
-import math
-
 import pytest
 
 from cyclofourier import (Character, UnitGroupStructure, chargauss, check_gauss_identities,

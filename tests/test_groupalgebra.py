@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem, PadicCircle,
+from cyclofourier import (AlgElem, CycloElem, FinAbGroup, FunElem, GroupElem,
                           basis_element, circle_points, convolution_matrix, convolve, determinant,
                           dual_elements, element_index, elements, enumerate_groups,
                           evaluate_at_characters, fourier_inverse, fourier_transform,
@@ -284,6 +284,10 @@ def test_transforms_match_pairing_oracle():
     cases += [(G(2, 2), get_ring(8, 2)), (G(2, 2), get_ring(12, 2)),
               (G(2, 1, 1), get_ring(8, 2)), (G(3, 1), get_ring(6, 3)),
               (G(3, 1, 1), get_ring(9, 3))]
+    # standard_ring(3, 2) has conductor 18: exponent 9 is scaled by 2, exponent 3 by 6
+    ring18 = standard_ring(3, 2)
+    assert ring18.conductor == 18
+    cases += [(g, ring18) for g in (G(3, 2), G(3, 1, 1), G(3, 2, 1))]
     for g, ring in cases:
         for coeffs in _differential_inputs(rng, g, ring):
             x = AlgElem(g, ring, coeffs)
@@ -317,18 +321,16 @@ def test_inversion_proof_matches_round_trips_byte_for_byte(monkeypatch, p, bound
 
 
 def _perturb_one_entry(monkeypatch, where):
-    """Patch the exponent table: entry where(|V|) of every nontrivial group gets +1."""
-    real = groupalgebra._zeta_exponent_table
-
+    """Patch the numerator table: entry where(|V|) of every nontrivial group gets +1."""
     @functools.cache
-    def perturbed(group, ring):
-        table = [list(row) for row in real(group, ring)]
+    def perturbed(group):
+        table = [list(row) for row in pairing_numerators(group)]
         if group.order > 1:
             i, j = where(group.order)
-            table[i][j] = (table[i][j] + 1) % ring.conductor
+            table[i][j] = (table[i][j] + 1) % group.exponent_value
         return tuple(map(tuple, table))
 
-    monkeypatch.setattr(groupalgebra, "_zeta_exponent_table", perturbed)
+    monkeypatch.setattr(groupalgebra, "pairing_numerators", perturbed)
 
 
 def _drop_the_sign(monkeypatch):
@@ -404,11 +406,11 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
     g = G(3, 1, 1)
     ring = get_ring(3, 3)
     pairing_form = lambda v, l: v[0] * l[0] + v[1] * l[1]  # noqa: E731
-    table = groupalgebra._zeta_exponent_table(g, ring)
+    table = pairing_numerators(g)
     assert table == _table_from(g, pairing_form, 3)
     assert groupalgebra._kernel_columns_match(g, ring, table)
     assert groupalgebra._table_is_bilinear(g, table, 3)
-    assert groupalgebra._rows_are_orthogonal(ring, table)
+    assert groupalgebra._rows_are_orthogonal(ring, table, 3)
     # Step 2, per generator: symmetric, yet additive along generator 1 - k only
     # (x -> x^2 is not additive mod 3).
     for k in (0, 1):
@@ -418,7 +420,7 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
     # and its rows are orthogonal, but it is not symmetric; a kernel that read
     # the table by columns would pass step 1 on it while F E != I.
     skewed = _table_from(g, lambda v, l: pairing_form(v, (l[0] + l[1], l[1])), 3)
-    assert groupalgebra._rows_are_orthogonal(ring, skewed)
+    assert groupalgebra._rows_are_orthogonal(ring, skewed, 3)
     assert not groupalgebra._table_is_bilinear(g, skewed, 3)
     # Step 3: degenerate forms are bilinear and symmetric but not orthogonal.
     z9 = G(3, 2)
@@ -426,7 +428,7 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
     for form in (lambda v, l: 0, lambda v, l: 3 * v[0] * l[0]):
         degenerate = _table_from(z9, form, 9)
         assert groupalgebra._table_is_bilinear(z9, degenerate, 9)
-        assert not groupalgebra._rows_are_orthogonal(ring9, degenerate)
+        assert not groupalgebra._rows_are_orthogonal(ring9, degenerate, 9)
     # Steps 1 and 4: a kernel that keeps only its first nonzero input is right on
     # every single-term input, which is all the per-input check of step 1 looks
     # at; the packed input of step 1 has |V| terms, and so has the second leg of
@@ -451,8 +453,7 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
     z4 = G(2, 2)
     ring4 = get_ring(4, 2)
     _drop_the_sign(monkeypatch)
-    assert not groupalgebra._kernel_columns_match(z4, ring4,
-                                                  groupalgebra._zeta_exponent_table(z4, ring4))
+    assert not groupalgebra._kernel_columns_match(z4, ring4, pairing_numerators(z4))
 
 
 def test_step_four_rejects_a_kernel_that_ignores_the_slot_only_in_synthesis(monkeypatch):
@@ -464,8 +465,7 @@ def test_step_four_rejects_a_kernel_that_ignores_the_slot_only_in_synthesis(monk
         _ignore_the_slot(m, signs=(-1,))
         for g in _SMALL_GROUPS:
             ring = standard_fourier_ring(g)
-            assert groupalgebra._kernel_columns_match(
-                g, ring, groupalgebra._zeta_exponent_table(g, ring)), g
+            assert groupalgebra._kernel_columns_match(g, ring, pairing_numerators(g)), g
             assert groupalgebra._fixed_round_trips_hold(g, ring) == (g.exponent_value <= 2), g
 
 
@@ -485,8 +485,7 @@ def test_step_four_rejects_a_kernel_that_ignores_the_slot_of_a_lone_input(monkey
     monkeypatch.setattr(groupalgebra, "_transform", lone_slotless)
     for g in _SMALL_GROUPS:
         ring = standard_fourier_ring(g)
-        assert groupalgebra._kernel_columns_match(
-            g, ring, groupalgebra._zeta_exponent_table(g, ring)), g
+        assert groupalgebra._kernel_columns_match(g, ring, pairing_numerators(g)), g
         assert groupalgebra._fixed_round_trips_hold(g, ring) == (g.exponent_value <= 2), g
 
 
@@ -504,30 +503,31 @@ def test_fourier_proof_at_order_243(monkeypatch):
 # -- step 1 on one packed input against the check of every single-term input --
 
 
-def _single_term_columns_match(group, ring, exps):
-    """Both transforms of every single-term input, against the table."""
+def _single_term_columns_match(group, ring, table):
+    """Both transforms of every single-term input, against the numerator table."""
     M = ring.conductor
+    N = group.exponent_value
     n = group.order
-    zetas = [ring.zeta(u) for u in range(M)]
-    # p^(-s) zeta^(-u), indexed by u
+    # zeta_N^t and p^(-s) zeta_N^(-t), indexed by t
+    zetas = [ring.zeta(t * (M // N)) for t in range(N)]
     inv_order = lift_conductor(zp(1, sum(group.exponents), ring.prime), M)
-    scaled = [ring.zeta(-u) * inv_order for u in range(M)]
+    scaled = [ring.zeta(-t * (M // N)) * inv_order for t in range(N)]
     for v, x in enumerate(elements(group)):
         got = evaluate_at_characters(basis_element(group, ring, x)).values
-        if got != tuple(zetas[t] for t in exps[v]):
+        if got != tuple(zetas[t] for t in table[v]):
             return False
     for j in range(n):
         delta = [ring.zero] * n
         delta[j] = ring.one
         if groupalgebra.fourier_transform(FunElem(group, ring, delta)) != tuple(
-                scaled[t] for t in exps[j]):
+                scaled[t] for t in table[j]):
             return False
     return True
 
 
-def _step_one_verdicts(group, ring, exps):
-    return (groupalgebra._kernel_columns_match(group, ring, exps),
-            _single_term_columns_match(group, ring, exps))
+def _step_one_verdicts(group, ring, table):
+    return (groupalgebra._kernel_columns_match(group, ring, table),
+            _single_term_columns_match(group, ring, table))
 
 
 _SMALL_GROUPS = [g for p, bound in ((2, 32), (3, 27), (5, 25)) for g in enumerate_groups(p, bound)]
@@ -540,13 +540,12 @@ def test_packed_step_one_accepts_what_the_single_term_check_accepts():
     assert max(abs(c) for u in range(105) for c in ring105.zeta(u).nums) == 2
     cases += [(G(3, 1), ring105), (G(3, 1, 1), ring105)]
     for g, ring in cases:
-        assert _step_one_verdicts(g, ring, groupalgebra._zeta_exponent_table(g, ring)) == (
-            True, True), g
+        assert _step_one_verdicts(g, ring, pairing_numerators(g)) == (True, True), g
 
 
 def _kernel_reads(monkeypatch, table):
-    """Patch the table the kernel reads; the expected values still come from exps."""
-    monkeypatch.setattr(groupalgebra, "_zeta_exponent_table", lambda group, ring: table)
+    """Patch the numerator table the kernel reads; step 1's expected values do not read it."""
+    monkeypatch.setattr(groupalgebra, "pairing_numerators", lambda group: table)
 
 
 def _tables_one_entry_off(exps, M):
@@ -577,26 +576,48 @@ def _tables_with_one_row_swap(exps):
 def test_packed_step_one_rejects_a_kernel_reading_another_table(monkeypatch, p, exponents):
     g = FinAbGroup(p, exponents)
     ring = standard_fourier_ring(g)
-    exps = groupalgebra._zeta_exponent_table(g, ring)
-    tables = list(_tables_one_entry_off(exps, ring.conductor))
+    exps = pairing_numerators(g)
+    tables = list(_tables_one_entry_off(exps, g.exponent_value))
     swaps = list(_tables_with_one_row_swap(exps))
-    assert len(tables) == g.order ** 2 * (ring.conductor - 1) and swaps
+    assert len(tables) == g.order ** 2 * (g.exponent_value - 1) and swaps
     for table in tables + swaps:
         with monkeypatch.context() as m:
             _kernel_reads(m, table)
             assert _step_one_verdicts(g, ring, exps) == (False, False), table
 
 
+def _kernel_reading_zeta_exponents(exps):
+    """The kernel of _transform with input i of output j at zeta_M^(sign exps[j][i])."""
+    def kernel(group, ring, items, sign, extra_exp):
+        M = ring.conductor
+        shift = max(c.exp for c in items)
+        out = []
+        for row in exps:
+            acc = [0] * M
+            for c, u in zip(items, row):
+                for k, n in enumerate(c.nums):
+                    acc[(sign * u + k) % M] += n * ring.prime ** (shift - c.exp)
+            out.append(CycloElem(ring, ring.reduce_vector(acc), shift + extra_exp))
+        return out
+
+    return kernel
+
+
 def test_packed_step_one_with_base_five(monkeypatch):
-    # Over Z[zeta_105] the base is 5; every one-entry and one-swap defect of the
-    # table of Z/3 is still caught.
+    # Over Z[zeta_105] the base is 5.  A kernel that puts one entry of the
+    # table of Z/3 at any other zeta_105 power, or swaps two entries of a row,
+    # is still caught.
     g = G(3, 1)
     ring = get_ring(105, 3)
-    exps = groupalgebra._zeta_exponent_table(g, ring)
-    for table in (*_tables_one_entry_off(exps, 105), *_tables_with_one_row_swap(exps)):
+    table = pairing_numerators(g)
+    exps = tuple(tuple(35 * t for t in row) for row in table)
+    with monkeypatch.context() as m:
+        m.setattr(groupalgebra, "_transform", _kernel_reading_zeta_exponents(exps))
+        assert _step_one_verdicts(g, ring, table) == (True, True)
+    for faulty in (*_tables_one_entry_off(exps, 105), *_tables_with_one_row_swap(exps)):
         with monkeypatch.context() as m:
-            _kernel_reads(m, table)
-            assert _step_one_verdicts(g, ring, exps) == (False, False), table
+            m.setattr(groupalgebra, "_transform", _kernel_reading_zeta_exponents(faulty))
+            assert _step_one_verdicts(g, ring, table) == (False, False), faulty
 
 
 def test_packed_step_one_rejects_a_synthesis_without_the_sign(monkeypatch):
@@ -605,7 +626,7 @@ def test_packed_step_one_rejects_a_synthesis_without_the_sign(monkeypatch):
         ring = standard_fourier_ring(g)
         # zeta^-1 = zeta exactly when the exponent is at most 2
         expected = g.exponent_value <= 2
-        verdicts = _step_one_verdicts(g, ring, groupalgebra._zeta_exponent_table(g, ring))
+        verdicts = _step_one_verdicts(g, ring, pairing_numerators(g))
         assert verdicts == (expected, expected), g
 
 
@@ -659,8 +680,7 @@ def _overwrite(table, v, l, value):
 
 def test_packed_step_two_on_edge_sums_and_out_of_range_entries():
     z9 = G(3, 2)  # g_1 = 1, so row 2 is row 1 + row 1
-    ring = get_ring(9, 3)
-    table = groupalgebra._zeta_exponent_table(z9, ring)
+    table = pairing_numerators(z9)
     zero = ((0,) * 9,) * 9
     cases = [(table, {0, 9}),  # a + b wraps past M
              (_overwrite(zero, 2, 5, 8), {-8}),  # 0 + 0 - 8 = -(M - 1)
@@ -693,14 +713,3 @@ def test_generator_shifts_follow_the_group_law():
         assert len(shifts) == len(gens), g
         for shift, k in zip(shifts, gens):
             assert shift == [element_index(g, (x + els[k]).coords) for x in els], g
-
-
-def test_exponent_table_in_a_conductor_above_the_exponent():
-    # standard_ring(3, 2) has conductor 18, so a group of exponent 9 is scaled by 2
-    # and one of exponent 3 by 6.
-    ring = standard_ring(3, 2)
-    assert ring.conductor == 18
-    for g in (G(3, 2), G(3, 1, 1), G(3, 2, 1)):
-        scale = 18 // g.exponent_value
-        assert groupalgebra._zeta_exponent_table(g, ring) == tuple(
-            tuple(t * scale % 18 for t in row) for row in pairing_numerators(g)), g

@@ -63,6 +63,15 @@ MUTANTS = [
            "    if group.prime != ring.prime:\n",
            "    if False:\n",
            ("tests/test_groupalgebra.py::test_fourier_requires_enough_roots",)),
+    Mutant("the Fourier kernel drops the M / N scale of the numerator table", "groupalgebra.py",
+           "    step = sign * (M // group.exponent_value)\n",
+           "    step = sign\n",
+           ("tests/test_groupalgebra.py::test_transforms_match_pairing_oracle",)),
+    Mutant("step 1 spreads its buckets over every zeta_M support", "groupalgebra.py",
+           "    roots = supports[::M // N]\n",
+           "    roots = supports\n",
+           ("tests/test_groupalgebra.py::"
+            "test_packed_step_one_accepts_what_the_single_term_check_accepts",)),
     Mutant("CycloElem keeps a negative denominator exponent", "exactring.py",
            "        elif exp < 0:\n            nums = [c * p ** -exp for c in nums]\n"
            "            exp = 0\n",
