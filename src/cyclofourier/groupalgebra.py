@@ -19,23 +19,33 @@ O(|V|^2 * nnz) for nnz nonzero input terms, plus |V| reductions.
 Fourier inversion is proven per group, not run as |V| round trips each
 way (each of which would end in a dense |V| x |V| synthesis, O(|V|^3) per
 group).  With T the numerator table, zeta_N = zeta_M^(M / N) and s = sum
-of the group's exponents (|V| = p^s), ``fourier_inversion_report`` checks:
+of the group's exponents (|V| = p^s), ``fourier_inversion_report`` checks
+steps 2 and 3, which read integers only, then steps 1 and 4:
 
 1. Kernel columns, from one packed input per direction: with B = 2H + 1,
    where H = max_u ||zeta_M^u||_inf in the power basis over every u < M
    (H = 1 when M is a prime power), evaluate_at_characters(sum_v B^v [v])
-   at l equals sum_v B^v zeta_N^T[v][l], and fourier_transform(sum_j B^j
-   delta_j) at l equals p^(-s) sum_j B^j zeta_N^(-T[j][l]).  The expected
-   values are summed from the sparse power-basis supports of the zeta_N^t,
-   not by the kernel: the weights are added into one bucket per exponent t,
-   and each bucket is spread over the support of zeta_N^t.
+   at l equals sum_v B^v zeta_N^T[l][v], and fourier_transform(sum_j B^j
+   delta_j) at l equals p^(-s) sum_j B^j zeta_N^(-T[l][j]) (row l is
+   column l, by step 2).  The expected values are summed from the sparse
+   power-basis supports of the zeta_N^t, not by the kernel: the weights are
+   added into one bucket per exponent t, and each bucket is spread over the
+   support of zeta_N^t.
 2. Bilinearity: every entry lies in [0, N), T[0][.] = 0, T is symmetric,
    and T[v + g_k][l] = T[v][l] + T[g_k][l] (mod N) for every generator g_k,
    one big-int operation per (v, k) on packed rows (below).
-3. Orthogonality: sum_l zeta_N^T[u][l] = |V| [u = 0] for every u, added into
-   one bucket per exponent and spread over the supports, as in step 1.
+3. Nondegeneracy: every row T[u], u != 0, has a nonzero entry.
 4. One round trip each way on the single non-scalar term zeta [g_1], and
    on zeta delta_(g_1) (zeta [0] for the trivial group).
+
+Steps 2 and 3 give the orthogonality S_u = |V| [u = 0] of the rows, with
+S_u = sum_l zeta_N^T[u][l], without summing a root of unity.  Step 2 makes
+T symmetric and additive along each generator, so l -> T[u][l] is additive
+mod N.  If T[u][l0] = t with 0 < t < N, reindexing l -> l + l0 gives
+zeta_N^t S_u = S_u; Z[1/p][X]/(Phi_M) is a domain and zeta_N^t != 1, so
+S_u = 0.  A zero row gives S_u = |V|: right for u = 0 (row 0 is zero by
+step 2), wrong for u != 0.  So once step 2 holds, step 3 accepts exactly
+the tables whose rows are orthogonal.
 
 The kernel is a sum over input terms, so it is Z[zeta]-linear.  Step 1 is
 therefore the check on every single-term input, read off in base B (a
@@ -97,14 +107,18 @@ of any zeta^u (c <= p - 1 when M = p^e), in terms that the steps touch:
 step 1 has, per direction, n^2 kernel terms and n^2 bucket additions of
 integers of n log2(B) bits, n N c support terms and n reductions; step 2
 has n^2 entry and symmetry checks each and r n divmods of n-slot integers
-(r n^2 slots); step 3 n^2 bucket additions and n N c support terms; step
-4, per direction, n + n^2 c terms and 2n reductions.  Reducing mod Phi_M
-costs at most M c when M = p^e, and N <= M, so the whole proof touches at
-most n (n (r + 2c + 7) + 9 M c + 2) terms (``_proof_terms``).
+(r n^2 slots); step 3 at most n^2 entry reads; step 4, per direction,
+n + n^2 c terms and 2n reductions.  Reducing mod Phi_M costs at most M c
+when M = p^e, and N <= M, so the whole proof touches at most
+n (n (r + 2c + 7) + 8 M c + 2) terms.  The budget, ``_proof_terms``, charges
+9 M c: its surplus n M c would pay for summing the orthogonality of the
+rows, which step 3 avoids, and keeps every exit-3 boundary where it was.
 
-When any step fails, the group is decided by ``_inversion_by_round_trips``
-(every basis vector, both ways), so verdicts and the first failing
-``basis_index`` / ``dual_index`` are exactly those of the full sweep.
+Step 4 and the fallback are one function, ``_round_trips``, which runs both
+composites on each listed input: step 4 lists zeta [g_1] and
+zeta delta_(g_1); a group on which any step fails lists every basis vector,
+so its verdicts and first failing ``basis_index`` / ``dual_index`` are
+exactly those of the full sweep.
 """
 
 from __future__ import annotations
@@ -307,11 +321,11 @@ def fourier_inversion_report(p: int, max_order: int, limit: int = DEFAULT_BUDGET
     """Both composites of evaluation and synthesis are the identity, per group.
 
     Each group is proven by the four steps of the module docstring; a group
-    on which any step fails is decided by the per-basis-vector round trips
-    of ``_inversion_by_round_trips``, which supply the verdicts and the first
-    failing index.  BudgetExceeded is raised before any arithmetic when the
-    sum over groups of ``_proof_terms``, an upper bound on the terms the
-    proof touches, exceeds ``limit``.  Its term for Z/p^s alone, p^s the
+    on which any step fails is decided by ``_round_trips`` on every basis
+    vector, which supplies the verdicts and the first failing index.
+    BudgetExceeded is raised before any arithmetic when the sum over groups
+    of ``_proof_terms``, an upper bound on the terms the proof touches,
+    exceeds ``limit``.  Its term for Z/p^s alone, p^s the
     largest order, is checked first, before any group is listed.
     """
     s = _top_exponent(p, max_order)
@@ -330,7 +344,7 @@ def fourier_inversion_report(p: int, max_order: int, limit: int = DEFAULT_BUDGET
         if _inversion_proven(group, ring):
             left = right = (True, None)
         else:
-            left, right = _inversion_by_round_trips(group, ring)
+            left, right = _round_trips(group, ring, ring.one, range(group.order))
         name = group.notation()
         report.add(f"fourier-{name}-synthesis-after-evaluation", f"V={name}", *left)
         report.add(f"fourier-{name}-evaluation-after-synthesis", f"V={name}", *right)
@@ -345,13 +359,13 @@ def _proof_terms(group: FinAbGroup) -> int:
 
 
 def _inversion_proven(group: FinAbGroup, ring: CycloRing) -> bool:
-    """Steps 1-4 of the module docstring; False leaves the verdict to the round trips."""
+    """Steps 2, 3, 1 and 4 of the module docstring; False leaves the verdict to the round trips."""
     table = pairing_numerators(group)
-    N = group.exponent_value
-    return (_kernel_columns_match(group, ring, table)
-            and _table_is_bilinear(group, table, N)
-            and _rows_are_orthogonal(ring, table, N)
-            and _fixed_round_trips_hold(group, ring))
+    g_1 = (_generator_indices(group) or [0])[:1]
+    return (_table_is_bilinear(group, table, group.exponent_value)
+            and _rows_are_nondegenerate(table)
+            and _kernel_columns_match(group, ring, table)
+            and all(ok for ok, _ in _round_trips(group, ring, ring.zeta(1), g_1)))
 
 
 def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, table) -> bool:
@@ -360,10 +374,11 @@ def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, table) -> bool:
     Evaluation runs on sum_v B^v [v] and synthesis on sum_j B^j delta_j, with
     B = 2H + 1 for H the largest |coefficient| of any zeta_M^u (a faulty
     kernel may land on any of them).  Output l must be sum_v B^v
-    zeta_N^T[v][l], or p^(-s) sum_j B^j zeta_N^(-T[j][l]), built from the
+    zeta_N^T[l][v], or p^(-s) sum_j B^j zeta_N^(-T[l][j]), built from the
     sparse power-basis supports of the zeta_N^t = zeta_M^(t M / N).  By the
     base-B argument of the module docstring this holds iff both transforms
-    match the table on every single-term input.
+    match the table on every single-term input.  Row l stands for column l:
+    step 2, which runs first, has checked that the table is symmetric.
     """
     M = ring.conductor
     N = group.exponent_value
@@ -372,24 +387,23 @@ def _kernel_columns_match(group: FinAbGroup, ring: CycloRing, table) -> bool:
     weights = [base ** v for v in range(group.order)]
     packed = [ring.from_int(w) for w in weights]
     roots = supports[::M // N]
-    columns = list(zip(*table))
     if evaluate_at_characters(AlgElem(group, ring, packed)).values != tuple(
-            _packed_sum(ring, weights, roots, col, 0) for col in columns):
+            _packed_sum(ring, weights, roots, row, 0) for row in table):
         return False
     conjugates = [roots[-t % N] for t in range(N)]
     s = sum(group.exponents)
     return fourier_transform(FunElem(group, ring, packed)) == tuple(
-        _packed_sum(ring, weights, conjugates, col, s) for col in columns)
+        _packed_sum(ring, weights, conjugates, row, s) for row in table)
 
 
-def _packed_sum(ring: CycloRing, weights, supports, column, exp: int) -> CycloElem:
-    """p^(-exp) sum_v weights[v] root^column[v], bucketed by exponent (no reduction).
+def _packed_sum(ring: CycloRing, weights, supports, row, exp: int) -> CycloElem:
+    """p^(-exp) sum_v weights[v] root^row[v], bucketed by exponent (no reduction).
 
     The weights are added into one bucket per exponent t, and each bucket is
     spread over supports[t], the power-basis support of root^t.
     """
     buckets = [0] * len(supports)
-    for w, u in zip(weights, column):
+    for w, u in zip(weights, row):
         buckets[u] += w
     acc = [0] * ring.degree
     for support, total in zip(supports, buckets):
@@ -440,47 +454,32 @@ def _generator_shifts(group: FinAbGroup) -> list[list[int]]:
     return shifts
 
 
-def _rows_are_orthogonal(ring: CycloRing, table, N: int) -> bool:
-    """Step 3: sum_l zeta_N^T[u][l] = |V| [u = 0], counted by exponent, spread once per row.
+def _rows_are_nondegenerate(table) -> bool:
+    """Step 3: no row but row 0 is zero, which after step 2 makes the rows orthogonal."""
+    return all(map(any, table[1:]))
 
-    The entries lie in [0, N), as step 2 checked before this step runs.
+
+def _round_trips(group: FinAbGroup, ring: CycloRing, value: CycloElem, indices):
+    """Both composites on value e_i for each i in indices: ((ok, witness) left, right).
+
+    Left synthesizes after evaluating value [v_i], right evaluates after
+    synthesizing value delta_i; a witness is the first i that fails.  The
+    transforms are looked up per call, so patches of the module's names apply.
     """
-    roots = ring.zeta_supports()[::ring.conductor // N]
-    ones = [1] * len(table)
-    return all(_packed_sum(ring, ones, roots, row, 0)
-               == (ring.from_int(len(row)) if u == 0 else ring.zero)
-               for u, row in enumerate(table))
-
-
-def _fixed_round_trips_hold(group: FinAbGroup, ring: CycloRing) -> bool:
-    """Step 4: both composites on zeta [g_1] and zeta delta_(g_1) (g_1 = 0 when V = 0)."""
-    coeffs = [ring.zero] * group.order
-    coeffs[(_generator_indices(group) or [0])[0]] = ring.zeta(1)
-    x = AlgElem(group, ring, coeffs)
-    f = FunElem(group, ring, coeffs)
-    return (fourier_inverse(evaluate_at_characters(x)) == x
-            and evaluate_at_characters(fourier_inverse(f)) == f)
-
-
-def _inversion_by_round_trips(group: FinAbGroup, ring: CycloRing):
-    """Both composites on every basis vector: ((ok, witness) left, (ok, witness) right)."""
-    left = (True, None)
-    for i in range(group.order):
-        coeffs = [ring.zero] * group.order
-        coeffs[i] = ring.one
-        x = AlgElem(group, ring, coeffs)
-        if fourier_inverse(evaluate_at_characters(x)) != x:
-            left = (False, {"basis_index": i})
-            break
-    right = (True, None)
-    for j in range(group.order):
-        values = [ring.zero] * group.order
-        values[j] = ring.one
-        delta = FunElem(group, ring, values)
-        if evaluate_at_characters(fourier_inverse(delta)) != delta:
-            right = (False, {"dual_index": j})
-            break
-    return left, right
+    verdicts = []
+    for make, there, back, key in (
+            (AlgElem, evaluate_at_characters, fourier_inverse, "basis_index"),
+            (FunElem, fourier_inverse, evaluate_at_characters, "dual_index")):
+        verdict = (True, None)
+        for i in indices:
+            items = [ring.zero] * group.order
+            items[i] = value
+            x = make(group, ring, items)
+            if back(there(x)) != x:
+                verdict = (False, {key: i})
+                break
+        verdicts.append(verdict)
+    return tuple(verdicts)
 
 
 def standard_fourier_ring(group: FinAbGroup) -> CycloRing:

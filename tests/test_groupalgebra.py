@@ -300,21 +300,39 @@ def test_transforms_match_pairing_oracle():
 
 
 def _round_trip_report(monkeypatch, p, bound):
-    """The report with every group decided by _inversion_by_round_trips."""
+    """The report with every group decided by the round trips on every basis vector."""
     with monkeypatch.context() as m:
         m.setattr(groupalgebra, "_inversion_proven", lambda group, ring: False)
         return fourier_inversion_report(p, bound)
 
 
-def _fallback_entered(group, ring):
-    raise AssertionError(f"round trips run on {group.notation()}")
+def _forbid_the_fallback(monkeypatch):
+    """Fail the test on any group whose proof fails, the one way into the fallback.
+
+    Step 4 runs the same round-trip function as the fallback, so the
+    fallback is told apart by the proof's verdict, not by that function.
+    """
+    real = groupalgebra._inversion_proven
+
+    def proven(group, ring):
+        if not real(group, ring):
+            raise AssertionError(f"round trips run on {group.notation()}")
+        return True
+
+    monkeypatch.setattr(groupalgebra, "_inversion_proven", proven)
+
+
+def _step_four_holds(group, ring):
+    """Step 4 as the proof runs it: both round trips on zeta at g_1 (at 0 when V = 0)."""
+    g_1 = (_generator_indices(group) or [0])[:1]
+    return all(ok for ok, _ in groupalgebra._round_trips(group, ring, ring.zeta(1), g_1))
 
 
 @pytest.mark.parametrize("p, bound", [(2, 64), (3, 81), (5, 125)])
 def test_inversion_proof_matches_round_trips_byte_for_byte(monkeypatch, p, bound):
     # a correct run never reaches the fallback
     with monkeypatch.context() as m:
-        m.setattr(groupalgebra, "_inversion_by_round_trips", _fallback_entered)
+        _forbid_the_fallback(m)
         proven = fourier_inversion_report(p, bound)
     assert proven.failed == 0
     assert proven.to_json() == _round_trip_report(monkeypatch, p, bound).to_json()
@@ -397,9 +415,59 @@ def test_faulty_table_or_transform_gives_the_round_trip_verdicts(monkeypatch, de
         assert failing == expected
 
 
+def _two_loop_round_trips(group, ring):
+    """The fallback as two loops over the basis vectors: ((ok, witness) left, right)."""
+    left = (True, None)
+    for i in range(group.order):
+        coeffs = [ring.zero] * group.order
+        coeffs[i] = ring.one
+        x = AlgElem(group, ring, coeffs)
+        if fourier_inverse(evaluate_at_characters(x)) != x:
+            left = (False, {"basis_index": i})
+            break
+    right = (True, None)
+    for j in range(group.order):
+        values = [ring.zero] * group.order
+        values[j] = ring.one
+        delta = FunElem(group, ring, values)
+        if evaluate_at_characters(fourier_inverse(delta)) != delta:
+            right = (False, {"dual_index": j})
+            break
+    return left, right
+
+
+@pytest.mark.parametrize("defect", ["slot", "first term only", "sign", "diagonal",
+                                    "off-diagonal"])
+def test_shared_round_trips_match_the_two_loop_oracle(monkeypatch, defect):
+    if defect == "slot":
+        _ignore_the_slot(monkeypatch)
+    elif defect == "first term only":
+        _keep_the_first_term(monkeypatch)
+    elif defect == "sign":
+        _drop_the_sign(monkeypatch)
+    else:
+        _perturb_one_entry(monkeypatch, {"diagonal": lambda n: (n - 1, n - 1),
+                                         "off-diagonal": lambda n: (1, n - 1)}[defect])
+    failing = set()
+    for g in enumerate_groups(2, 16) + enumerate_groups(3, 27):
+        ring = standard_fourier_ring(g)
+        verdicts = groupalgebra._round_trips(g, ring, ring.one, range(g.order))
+        assert verdicts == _two_loop_round_trips(g, ring), g
+        failing.update(side for side, (ok, _) in enumerate(verdicts) if not ok)
+    assert failing == {0, 1}  # each fault fails both directions somewhere
+
+
 def _table_from(group, form, M):
     els = [x.coords for x in elements(group)]
     return tuple(tuple(form(v, l) % M for l in els) for v in els)
+
+
+def _rows_are_orthogonal(ring, table, N):
+    """The orthogonality sums sum_l zeta_N^T[u][l] = |V| [u = 0], each by ring.zeta_sum."""
+    step = ring.conductor // N
+    return all(ring.zeta_sum(t * step for t in row)
+               == (ring.from_int(len(row)) if u == 0 else ring.zero)
+               for u, row in enumerate(table))
 
 
 def test_each_proof_step_rejects_its_own_defect(monkeypatch):
@@ -410,25 +478,28 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
     assert table == _table_from(g, pairing_form, 3)
     assert groupalgebra._kernel_columns_match(g, ring, table)
     assert groupalgebra._table_is_bilinear(g, table, 3)
-    assert groupalgebra._rows_are_orthogonal(ring, table, 3)
+    assert groupalgebra._rows_are_nondegenerate(table)
     # Step 2, per generator: symmetric, yet additive along generator 1 - k only
     # (x -> x^2 is not additive mod 3).
     for k in (0, 1):
         twisted = _table_from(g, lambda v, l: pairing_form(v, l) + v[k] ** 2 * l[k] ** 2, 3)
         assert not groupalgebra._table_is_bilinear(g, twisted, 3)
     # Step 2, symmetry: <v, sigma l> with sigma(a, b) = (a + b, b) is additive in v
-    # and its rows are orthogonal, but it is not symmetric; a kernel that read
-    # the table by columns would pass step 1 on it while F E != I.
+    # and its rows are orthogonal and nondegenerate, but it is not symmetric;
+    # step 1 reads its expected columns from the rows, which only symmetry allows.
     skewed = _table_from(g, lambda v, l: pairing_form(v, (l[0] + l[1], l[1])), 3)
-    assert groupalgebra._rows_are_orthogonal(ring, skewed, 3)
+    assert _rows_are_orthogonal(ring, skewed, 3)
+    assert groupalgebra._rows_are_nondegenerate(skewed)
     assert not groupalgebra._table_is_bilinear(g, skewed, 3)
-    # Step 3: degenerate forms are bilinear and symmetric but not orthogonal.
+    # Step 3: degenerate forms are bilinear and symmetric, but a row u != 0 is
+    # zero, so that row is not orthogonal to row 0.
     z9 = G(3, 2)
     ring9 = get_ring(9, 3)
     for form in (lambda v, l: 0, lambda v, l: 3 * v[0] * l[0]):
         degenerate = _table_from(z9, form, 9)
         assert groupalgebra._table_is_bilinear(z9, degenerate, 9)
-        assert not groupalgebra._rows_are_orthogonal(ring9, degenerate, 9)
+        assert not _rows_are_orthogonal(ring9, degenerate, 9)
+        assert not groupalgebra._rows_are_nondegenerate(degenerate)
     # Steps 1 and 4: a kernel that keeps only its first nonzero input is right on
     # every single-term input, which is all the per-input check of step 1 looks
     # at; the packed input of step 1 has |V| terms, and so has the second leg of
@@ -437,23 +508,55 @@ def test_each_proof_step_rejects_its_own_defect(monkeypatch):
         _keep_the_first_term(m)
         assert _single_term_columns_match(g, ring, table)
         assert not groupalgebra._kernel_columns_match(g, ring, table)
-        assert not groupalgebra._fixed_round_trips_hold(g, ring)
-    assert groupalgebra._fixed_round_trips_hold(g, ring)
+        assert not _step_four_holds(g, ring)
+    assert _step_four_holds(g, ring)
     # Step 4 alone: a kernel that ignores each term's power-basis slot is right on
     # the integer-scalar packed inputs of step 1, and steps 2 and 3 do not run it;
     # the round trips of step 4 transform non-scalar values and reject it.
     with monkeypatch.context() as m:
         _ignore_the_slot(m)
-        assert groupalgebra._kernel_columns_match(g, ring, table)
-        assert not groupalgebra._fixed_round_trips_hold(g, ring)
+        assert not _step_four_holds(g, ring)
+        for group in enumerate_groups(3, 27):
+            exps = pairing_numerators(group)
+            assert groupalgebra._kernel_columns_match(group, standard_fourier_ring(group), exps)
+            assert groupalgebra._table_is_bilinear(group, exps, group.exponent_value)
+            assert groupalgebra._rows_are_nondegenerate(exps)
         assert fourier_inversion_report(3, 27).failed == 12  # of 14, by the round trips
-        m.setattr(groupalgebra, "_fixed_round_trips_hold", lambda group, ring: True)
-        assert fourier_inversion_report(3, 27).failed == 0
     # Step 1: a synthesis without the sign no longer matches the table's columns.
     z4 = G(2, 2)
     ring4 = get_ring(4, 2)
     _drop_the_sign(monkeypatch)
     assert not groupalgebra._kernel_columns_match(z4, ring4, pairing_numerators(z4))
+
+
+def _random_symmetric_form(rng, group):
+    """The table of sum_ij A_ij v_i l_j p^(e_1 - min(e_i, e_j)) mod N, A random symmetric."""
+    exps, p, N = group.exponents, group.prime, group.exponent_value
+    r = len(exps)
+    A = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            A[i][j] = A[j][i] = rng.randrange(N) * p ** (exps[0] - min(exps[i], exps[j]))
+    return _table_from(group, lambda v, l: sum(A[i][j] * v[i] * l[j]
+                                               for i in range(r) for j in range(r)), N)
+
+
+def test_nondegenerate_rows_of_a_bilinear_table_are_its_orthogonal_rows():
+    # The lemma of the module docstring: once step 2 holds, step 3's scan for a
+    # zero row u != 0 accepts exactly the tables whose orthogonality sums,
+    # summed by ring.zeta_sum, are |V| [u = 0].
+    rng = random.Random(409)
+    outcomes = {True: 0, False: 0}
+    for p, bound in ((2, 64), (3, 81), (5, 25)):
+        for g in enumerate_groups(p, bound):
+            ring = standard_fourier_ring(g)
+            for _ in range(5):
+                table = _random_symmetric_form(rng, g)
+                assert groupalgebra._table_is_bilinear(g, table, g.exponent_value), g
+                accepted = groupalgebra._rows_are_nondegenerate(table)
+                assert _rows_are_orthogonal(ring, table, g.exponent_value) == accepted, table
+                outcomes[accepted] += 1
+    assert min(outcomes.values()) >= 50, outcomes
 
 
 def test_step_four_rejects_a_kernel_that_ignores_the_slot_only_in_synthesis(monkeypatch):
@@ -466,7 +569,7 @@ def test_step_four_rejects_a_kernel_that_ignores_the_slot_only_in_synthesis(monk
         for g in _SMALL_GROUPS:
             ring = standard_fourier_ring(g)
             assert groupalgebra._kernel_columns_match(g, ring, pairing_numerators(g)), g
-            assert groupalgebra._fixed_round_trips_hold(g, ring) == (g.exponent_value <= 2), g
+            assert _step_four_holds(g, ring) == (g.exponent_value <= 2), g
 
 
 def test_step_four_rejects_a_kernel_that_ignores_the_slot_of_a_lone_input(monkeypatch):
@@ -486,13 +589,13 @@ def test_step_four_rejects_a_kernel_that_ignores_the_slot_of_a_lone_input(monkey
     for g in _SMALL_GROUPS:
         ring = standard_fourier_ring(g)
         assert groupalgebra._kernel_columns_match(g, ring, pairing_numerators(g)), g
-        assert groupalgebra._fixed_round_trips_hold(g, ring) == (g.exponent_value <= 2), g
+        assert _step_four_holds(g, ring) == (g.exponent_value <= 2), g
 
 
 def test_fourier_proof_at_order_243(monkeypatch):
     # The 19 groups of order up to 3^5, at exactly their estimate: the sum of
     # n (n (r + 2c + 7) + 9 M c + 2) is 8,156,719, under the default budget.
-    monkeypatch.setattr(groupalgebra, "_inversion_by_round_trips", _fallback_entered)
+    _forbid_the_fallback(monkeypatch)
     report = fourier_inversion_report(3, 243, limit=8_156_719)
     assert report.failed == 0
     assert len(report.checks) == 2 * 19

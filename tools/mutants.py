@@ -56,9 +56,25 @@ MUTANTS = [
            "        return\n",
            ("tests/test_isoverify.py::test_functions_undefined_on_a_group_are_refused_up_front",)),
     Mutant("the Fourier proof skips its round trips", "groupalgebra.py",
-           "and _fixed_round_trips_hold(group, ring))",
+           "and all(ok for ok, _ in _round_trips(group, ring, ring.zeta(1), g_1)))",
            "and True)",
            ("tests/test_groupalgebra.py::test_each_proof_step_rejects_its_own_defect",)),
+    Mutant("step 2 drops its symmetry clause", "groupalgebra.py",
+           "            or any(col != row for col, row in zip(zip(*table), table))):\n",
+           "            ):\n",
+           ("tests/test_groupalgebra.py::test_each_proof_step_rejects_its_own_defect",)),
+    Mutant("step 3 accepts a table with any nonzero row", "groupalgebra.py",
+           "    return all(map(any, table[1:]))\n",
+           "    return any(map(any, table[1:]))\n",
+           ("tests/test_groupalgebra.py::test_each_proof_step_rejects_its_own_defect",
+            "tests/test_groupalgebra.py::"
+            "test_nondegenerate_rows_of_a_bilinear_table_are_its_orthogonal_rows")),
+    Mutant("the shared round trips check the left direction only", "groupalgebra.py",
+           "        verdicts.append(verdict)\n",
+           "        verdicts.append(verdict if make is AlgElem else (True, None))\n",
+           ("tests/test_groupalgebra.py::test_shared_round_trips_match_the_two_loop_oracle[sign]",
+            "tests/test_groupalgebra.py::"
+            "test_shared_round_trips_match_the_two_loop_oracle[off-diagonal]")),
     Mutant("the Fourier kernel accepts a ring of another prime", "groupalgebra.py",
            "    if group.prime != ring.prime:\n",
            "    if False:\n",
