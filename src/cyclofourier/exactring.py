@@ -15,14 +15,14 @@ Two rings are provided, both exact, with decidable equality:
 The power-basis kernel, each loop once: ``_convolve`` (schoolbook product;
 ``CycloElem.__mul__``, ``IntPolynomial.__mul__``), ``CycloRing.zeta_supports``
 (the nonzero power-basis terms of each zeta^u, u < M, reduced once per ring;
-``zeta_sum``, ``groupalgebra._kernel_columns_match``, ``matrix._det_modular``),
-``CycloRing.zeta_sum`` (sum of zeta^e: each exponent's cached support added
-into one length-phi accumulator, with no reduction; ``zeta``,
-``chargauss.gauss_sum`` and ``_gauss_sum_lower``), ``_substitute``
-(zeta^i -> zeta^(i k); ``galois_conjugate``, ``lift_conductor``) and
-``_adjugate_norm`` (product of the nontrivial conjugates, and the norm;
-``norm``, ``inverse``, and the dense Bareiss test oracle in
-``tests/bareiss_oracle.py``).
+``zeta_sum``, ``groupalgebra._kernel_columns_match``,
+``matrix._coefficient_bound``), ``CycloRing.zeta_sum`` (sum of zeta^e: each
+exponent's cached support added into one length-phi accumulator, with no
+reduction; ``zeta``, ``chargauss.gauss_sum`` and ``_gauss_sum_lower``),
+``_substitute`` (zeta^i -> zeta^(i k); ``galois_conjugate``,
+``lift_conductor``) and ``_adjugate_norm`` (product of the nontrivial
+conjugates, and the norm; ``norm``, ``inverse``, and the dense Bareiss test
+oracle in ``tests/bareiss_oracle.py``).
 
 ``_adjugate_norm`` takes O(log phi(M)) products, not phi(M) - 1, by walking
 a chain of subgroups 1 = H_0 < H_1 < ... < H_m = (Z/M)^x (``_coset_chain``).

@@ -4,13 +4,22 @@ Over Z[zeta_M] of degree phi = phi(M) > 1, the determinant is computed
 modulo one prime q that splits Phi_M into linear factors, and lifted:
 
 * Bound.  With denominators cleared, the entries a_ij are integer vectors
-  on the power basis.  Lift them to polynomials of degree < phi in Z[x].
-  By Leibniz, the lifted determinant D has ||D||_1 <= perm(||a_ij||_1) <=
+  on the power basis.  Lift them to polynomials of degree < phi in Z[x];
+  the lifted determinant D has degree at most n(phi - 1).  Two bounds on
+  ||D||_1 hold.  By Leibniz, ||D||_1 <= perm(||a_ij||_1) <= P =
   prod_i sum_j ||a_ij||_1, the permanent being at most the product of its
-  row sums.  Phi_M divides x^M - 1, so reducing D mod Phi_M sends each x^k
-  to zeta^(k mod M), whose power-basis coefficients are at most
-  C_M = max_{0 <= j < M} ||zeta^j||_inf.  Every coefficient of det is
-  therefore at most B = C_M * prod_i sum_j ||a_ij||_1 in absolute value.
+  row sums.  On the unit circle |a_ij(x)| <= ||a_ij||_1, so Hadamard's
+  inequality gives |D(x)| <= H = sqrt(prod_i sum_j ||a_ij||_1^2) at every
+  x = e^(i theta).  By Parseval ||D||_2^2 is the mean of |D|^2 over the
+  circle, so ||D||_2 <= H, and by Cauchy-Schwarz over the n(phi - 1) + 1
+  coefficients ||D||_1 <= sqrt(n(phi - 1) + 1) * H.  Phi_M divides
+  x^M - 1, so reducing D mod Phi_M sends each x^k to zeta^(k mod M), whose
+  power-basis coefficients are at most C_M = max_{0 <= j < M}
+  ||zeta^j||_inf.  Every coefficient of det is therefore at most
+  B = C_M * min(P, ceil(sqrt((n(phi - 1) + 1) * H^2))) in absolute value
+  (``_coefficient_bound``).  On the 27 x 27 transform matrices over
+  Z[zeta_18] of ``verify criterion-oracle --p 3 --r 2``, P runs up to
+  2^166 and the second term up to 2^106, so q has 129 bits, not up to 193.
 * CRT.  Take q = 1 (mod M) with q > 2B and phi roots r_i of Phi_M mod q,
   the powers h^k (k a unit mod M) of one h of order M.  Evaluation
   f -> (f(r_i))_i is a ring homomorphism Z/q[x] -> (Z/q)^phi that kills
@@ -19,6 +28,9 @@ modulo one prime q that splits Phi_M into linear factors, and lifted:
   isomorphism Z/q[x]/(Phi_M) -> (Z/q)^phi, and since a determinant commutes
   with ring homomorphisms, det(a_ij) mod q = V^(-1) (det(a_ij(r_i)) mod q)_i:
   one Gaussian elimination over Z/q per root, recombined through V^(-1).
+  The phi eliminations run in lockstep, one step of each at a time, and a
+  step inverts the product of its pivots once: each pivot's inverse is
+  read off the prefix products (Montgomery's simultaneous inversion).
   Lifting each coefficient to (-q/2, q/2] recovers it exactly, as
   q/2 > B.
 * Primality of q is not needed.  The argument above holds over Z/q for
@@ -26,9 +38,12 @@ modulo one prime q that splits Phi_M into linear factors, and lifted:
   (a failure raises ArithmeticError), V^(-1) comes from Gauss-Jordan on
   unit pivots only, and each per-root elimination divides only by unit
   pivots (swapping rows; a column that is zero from the pivot down makes
-  that determinant 0).  Over a field every nonzero residue is a unit, so
-  a nonzero pivot that is not a unit shows q composite: that q is dropped
-  and the next candidate is taken.  Candidates pass the Miller-Rabin test
+  that determinant 0).  A step's pivot product is a non-unit exactly when
+  one of its pivots is (a prime factor of q divides a product only when
+  it divides a factor), so inverting the product checks every pivot.
+  Over a field every nonzero residue is a unit, so a nonzero pivot that
+  is not a unit shows q composite: that q is dropped and the next
+  candidate is taken.  Candidates pass the Miller-Rabin test
   of ``exactring._probable_prime`` (a proof below 3.3 * 10^24, a filter
   above), so this essentially never happens.  The modulus, roots and
   V^(-1) are cached per (M, bit size of 2B rounded up to 32 bits).
@@ -72,6 +87,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
+from itertools import accumulate
 from operator import mul
 
 from .exactring import (CycloElem, CycloRing, ModRing, _is_prime, _probable_prime,
@@ -199,13 +215,21 @@ class _Split:
         self.inverse = inverse
 
 
+def _coefficient_bound(rows: list[list[tuple[int, ...]]], ring: CycloRing) -> int:
+    """B >= |c| for every coefficient c of det: the smaller of two bounds (module docstring)."""
+    height = max(abs(c) for support in ring.zeta_supports() for _, c in support)
+    norms = [[sum(map(abs, a)) for a in row] for row in rows]
+    permanent = math.prod(map(sum, norms))
+    squared = (len(rows) * (ring.degree - 1) + 1) * math.prod(
+        sum(x * x for x in row) for row in norms)
+    root = math.isqrt(squared)
+    return height * min(permanent, root + (root * root < squared))
+
+
 def _det_modular(rows: list[list[tuple[int, ...]]], ring: CycloRing) -> list[int]:
     """det over Z[zeta_M] of integer coefficient vectors, modulo one split q > 2B."""
     M = ring.conductor
-    height = max(abs(c) for support in ring.zeta_supports() for _, c in support)
-    bound = height
-    for row in rows:
-        bound *= sum(sum(map(abs, a)) for a in row)
+    bound = _coefficient_bound(rows, ring)
     bits = 32 * max(1, -(-(2 * bound).bit_length() // 32))
     floor = 1 << bits
     while True:
@@ -220,7 +244,7 @@ def _det_modular(rows: list[list[tuple[int, ...]]], ring: CycloRing) -> list[int
 
 
 def _det_by_embeddings(rows: list[list[tuple[int, ...]]], split: _Split) -> list[int]:
-    """Balanced coefficients of det mod q: one elimination per root, then V^(-1)."""
+    """Balanced coefficients of det mod q: the eliminations per root in lockstep, then V^(-1)."""
     q = split.modulus
     values: dict[tuple[int, ...], list[int]] = {}
     evaluated = []
@@ -232,43 +256,67 @@ def _det_by_embeddings(rows: list[list[tuple[int, ...]]], split: _Split) -> list
                 v = values[a] = [sum(map(mul, a, pw)) % q for pw in split.powers]
             out.append(v)
         evaluated.append(out)
-    dets = [_det_mod([[v[i] for v in row] for row in evaluated], q)
-            for i in range(len(split.powers))]
+    dets = _dets_mod([[[v[i] for v in row] for row in evaluated]
+                      for i in range(len(split.powers))], q)
     half = q // 2
     coeffs = [sum(map(mul, row, dets)) % q for row in split.inverse]
     return [c - q if c > half else c for c in coeffs]
 
 
-def _det_mod(rows: list[list[int]], q: int) -> int:
-    """Determinant mod q by elimination on unit pivots (rows are consumed).
+def _dets_mod(mats: list[list[list[int]]], q: int) -> list[int]:
+    """Determinants mod q of n x n matrices, eliminated in lockstep on unit pivots.
 
-    Only the multiplier and the pivot row are reduced mod q, so an entry
-    grows by less than q^2 per step and stays below n * q^2 + q.
+    The matrices are consumed.  Step k finds each live matrix's pivot in
+    column k (swapping rows); a matrix whose column is zero from row k down
+    drops out with determinant 0.  One inversion serves the step: the
+    product of the pivots is inverted and each pivot's inverse is read off
+    the prefix products (Montgomery).  The product is a unit exactly when
+    every pivot is, so a non-unit pivot raises _NotAField.  Only the
+    multiplier and the pivot row are reduced mod q, so an entry grows by
+    less than q^2 per step and stays below n * q^2 + q.
     """
-    n = len(rows)
-    det = 1
+    n = len(mats[0])
+    dets = [1] * len(mats)
+    live = range(len(mats))
     for k in range(n):
-        for r in range(k, n):
-            pivot = rows[r][k] % q
-            if pivot:
-                break
-        else:
-            return 0
-        if r != k:
-            rows[k], rows[r] = rows[r], rows[k]
-            det = -det
+        pivots = []
+        kept = []
+        for i in live:
+            rows = mats[i]
+            for r in range(k, n):
+                pivot = rows[r][k] % q
+                if pivot:
+                    break
+            else:
+                dets[i] = 0
+                continue
+            if r != k:
+                rows[k], rows[r] = rows[r], rows[k]
+                dets[i] = -dets[i]
+            kept.append(i)
+            pivots.append(pivot)
+        live = kept
+        if not live:
+            break
+        prefix = list(accumulate(pivots, lambda a, b: a * b % q))
         try:
-            inv = pow(pivot, -1, q)
+            inv = pow(prefix[-1], -1, q)
         except ValueError:
             raise _NotAField(q) from None
-        det = det * pivot % q
-        tail = [x * inv % q for x in rows[k][k + 1:]]
-        for i in range(k + 1, n):
-            row = rows[i]
-            f = row[k] % q
-            if f:
-                row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
-    return det % q
+        inverses = [0] * len(pivots)
+        for j in range(len(pivots) - 1, 0, -1):
+            inverses[j] = inv * prefix[j - 1] % q
+            inv = inv * pivots[j] % q
+        inverses[0] = inv
+        for i, pivot, inv in zip(live, pivots, inverses):
+            rows = mats[i]
+            dets[i] = dets[i] * pivot % q
+            tail = [x * inv % q for x in rows[k][k + 1:]]
+            for row in rows[k + 1:]:
+                f = row[k] % q
+                if f:
+                    row[k + 1:] = [x - f * y for x, y in zip(row[k + 1:], tail)]
+    return [d % q for d in dets]
 
 
 def _candidates(conductor: int, floor: int) -> Iterator[int]:

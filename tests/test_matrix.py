@@ -1,5 +1,6 @@
 """Determinant tests: the split-prime kernel and Bareiss against the expansion oracle and sympy."""
 
+import math
 import random
 from itertools import chain
 
@@ -13,8 +14,8 @@ from cyclofourier import (CircleFunction, CycloElem, FinAbGroup, ModRing, RingMa
                           is_unit, lift_conductor, matrix, norm, random_table_function,
                           standard_ring, transform_matrix)
 from cyclofourier.cli import main
-from cyclofourier.matrix import (_NotAField, _bareiss_int, _det_by_embeddings,
-                                 _det_modular)
+from cyclofourier.matrix import (_NotAField, _bareiss_int, _coefficient_bound,
+                                 _det_by_embeddings, _det_modular, _dets_mod)
 
 from bareiss_oracle import bareiss_vec
 
@@ -225,24 +226,63 @@ def _kernel_matches_oracles(mat):
     return det
 
 
-def test_split_prime_kernel_matches_bareiss_and_expansion():
+def _seeded_kernel_matrices():
+    """(matrix, singular) over each kernel ring: random, a zero row, one row zeta times another."""
     rng = random.Random(205)
     for M, p in _KERNEL_RINGS:
         ring = get_ring(M, p)
         for n in (1, 2, 3, 4, 5):
             # entries carry denominators p^0 .. p^2
             rows = _random_cyclo_matrix(ring, n, rng)
-            det = _kernel_matches_oracles(RingMatrix.from_rows(ring, rows))
-            if n == 1:
-                assert det == rows[0][0]
+            yield RingMatrix.from_rows(ring, rows), False
             zero_row = [list(row) for row in rows]
             zero_row[rng.randrange(n)] = [ring.zero] * n
-            assert not _kernel_matches_oracles(RingMatrix.from_rows(ring, zero_row))
+            yield RingMatrix.from_rows(ring, zero_row), True
             if n > 1:
                 # one row a multiple of another: singular
                 i, j = rng.sample(range(n), 2)
                 rows[j] = [ring.zeta(1) * x for x in rows[i]]
-                assert not _kernel_matches_oracles(RingMatrix.from_rows(ring, rows))
+                yield RingMatrix.from_rows(ring, rows), True
+
+
+def test_split_prime_kernel_matches_bareiss_and_expansion():
+    for mat, singular in _seeded_kernel_matrices():
+        det = _kernel_matches_oracles(mat)
+        if singular:
+            assert not det
+        elif mat.rows == 1:
+            assert det == mat.at(0, 0)
+
+
+def _sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_coefficient_bound_holds_and_is_at_most_the_permanent_bound():
+    # Sylvester-Hadamard matrices, where Hadamard's inequality is tight, over
+    # three rings so that they take the split-prime path, then the seeded
+    # kernel matrices.  At order 8 doubled, over each ring, a bound from
+    # unsquared row norms falls below |det| = 2^8 * 8^4.
+    hadamard = []
+    for M, p in ((8, 2), (9, 3), (20, 5)):
+        ring = get_ring(M, p)
+        for order in (1, 2, 4, 8):
+            for scale in (1, 2):
+                mat = _int_matrix(ring, [[scale * x for x in row]
+                                         for row in _sylvester_hadamard(order)])
+                det = determinant(mat)
+                assert abs(det.nums[0]) ** 2 == scale ** (2 * order) * order ** order
+                hadamard.append(mat)
+    for mat in chain(hadamard, (mat for mat, _ in _seeded_kernel_matrices())):
+        ring = mat.ring
+        rows = _cleared_rows(mat)
+        det = bareiss_vec([[list(a) for a in row] for row in rows], ring)
+        height = max(abs(c) for support in ring.zeta_supports() for _, c in support)
+        permanent = height * math.prod(sum(sum(map(abs, a)) for a in row) for row in rows)
+        assert max(map(abs, det)) <= _coefficient_bound(rows, ring) <= permanent
 
 
 def test_split_prime_kernel_matches_bareiss_on_transform_matrices():
@@ -255,7 +295,8 @@ def test_split_prime_kernel_matches_bareiss_on_transform_matrices():
 def test_a_row_swap_under_one_embedding_only(monkeypatch, fresh_splits):
     # 17 = 1 (mod 8) splits Phi_8 = x^4 + 1, and zeta - 2 vanishes under zeta -> 2
     # alone, so only that elimination swaps rows.  The coefficient bound is
-    # 1 * (3 + 1) * (1 + 1) = 8, and 17 > 2 * 8, so the lift is still exact.
+    # the permanent bound 1 * (3 + 1) * (1 + 1) = 8 (the Hadamard-Parseval
+    # one is 12), and 17 > 2 * 8, so the lift is still exact.
     real = matrix._candidates
     monkeypatch.setattr(matrix, "_candidates", lambda M, floor: chain([17], real(M, floor)))
     ring = get_ring(8, 2)
@@ -265,6 +306,25 @@ def test_a_row_swap_under_one_embedding_only(monkeypatch, fresh_splits):
     roots = [powers[1] for powers in split.powers]
     assert split.modulus == 17 and [(r - 2) % 17 == 0 for r in roots].count(True) == 1
     assert determinant(mat) == z - 3 == determinant_expansion(mat)
+
+
+def test_a_root_that_drops_out_mid_elimination(monkeypatch, fresh_splits):
+    # After step 0 the rows are (1, 1, 0), (0, zeta - 2, 0), (0, 0, 1), so
+    # under zeta -> 2 alone the pivot column of step 1 is zero: that root
+    # drops out with determinant 0 while the other three stay live.  The
+    # permanent bound is 1 * (1 + 1) * (1 + 2) * 1 = 6, and 17 > 2 * 6.
+    real = matrix._candidates
+    monkeypatch.setattr(matrix, "_candidates", lambda M, floor: chain([17], real(M, floor)))
+    ring = get_ring(8, 2)
+    z, one, zero = ring.zeta(1), ring.one, ring.zero
+    mat = RingMatrix.from_rows(ring, [[one, one, zero], [one, z - 1, zero], [zero, zero, one]])
+    assert _coefficient_bound(_cleared_rows(mat), ring) == 6
+    split = matrix._split(8, 1 << 32)
+    roots = [powers[1] for powers in split.powers]
+    assert split.modulus == 17 and sorted(roots) == [2, 8, 9, 15]
+    evaluated = [[[1, 1, 0], [1, r - 1, 0], [0, 0, 1]] for r in roots]
+    assert _dets_mod(evaluated, 17) == [(r - 2) % 17 for r in roots]
+    assert determinant(mat) == z - 2 == determinant_expansion(mat)
 
 
 # Q = 67993 * 271969, both factors 1 (mod 8).  The root search finds an h of

@@ -36,11 +36,21 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    Mutant("_det_mod keeps the sign across a row swap", "matrix.py",
-           "            rows[k], rows[r] = rows[r], rows[k]\n            det = -det\n",
-           "            rows[k], rows[r] = rows[r], rows[k]\n",
+    Mutant("_dets_mod keeps the sign across a row swap", "matrix.py",
+           "                rows[k], rows[r] = rows[r], rows[k]\n"
+           "                dets[i] = -dets[i]\n",
+           "                rows[k], rows[r] = rows[r], rows[k]\n",
            ("tests/test_matrix.py::test_split_prime_kernel_matches_bareiss_on_transform_matrices",
             "tests/test_matrix.py::test_a_row_swap_under_one_embedding_only")),
+    Mutant("_dets_mod gives each pivot its neighbour's inverse", "matrix.py",
+           "zip(live, pivots, inverses)",
+           "zip(live, pivots, inverses[1:] + inverses[:1])",
+           ("tests/test_matrix.py::test_split_prime_kernel_matches_bareiss_and_expansion",)),
+    Mutant("the Hadamard-Parseval bound does not square the row norms", "matrix.py",
+           "sum(x * x for x in row) for row in norms)",
+           "sum(row) for row in norms)",
+           ("tests/test_matrix.py::"
+            "test_coefficient_bound_holds_and_is_at_most_the_permanent_bound",)),
     Mutant("_bareiss_int drops the pending scale of the last entry", "matrix.py",
            "return sign * (m[n - 1][n - 1] * prev // since[n - 1])",
            "return sign * m[n - 1][n - 1]",
